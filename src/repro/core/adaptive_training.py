@@ -22,8 +22,10 @@ The key mechanics reproduced from the paper:
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from repro.nn.optim import SGD
 from repro.runtime.device import TrainingCost, TrainingCostModel
 from repro.video.scene import GroundTruthBox
 
-__all__ = ["TrainingSessionReport", "AdaptiveTrainer"]
+__all__ = ["TrainingSessionReport", "ReplaySeed", "AdaptiveTrainer"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,35 @@ class TrainingSessionReport:
     def simulated_seconds(self) -> float:
         """Simulated compute seconds (forward + backward)."""
         return self.cost.total_seconds
+
+
+class ReplaySeed(NamedTuple):
+    """Offline replay-seed data shared by the trainers of one fleet.
+
+    ``latents`` caches the seed images' activations, keyed by replay
+    layer and by a digest of the student's weights and normalisation
+    statistics.  The first :meth:`AdaptiveTrainer.seed_replay` of a key
+    runs the forward pass; every later one reuses its read-only array.
+    Trainers whose students differ (a tenant re-registered after its
+    weights moved) never share.  ``trainer.seed_replay(*seed)`` passes
+    all three fields.
+    """
+
+    images: np.ndarray
+    labels: list[list[GroundTruthBox]]
+    latents: dict[tuple[str, str], np.ndarray]
+
+
+def _student_digest(student: StudentDetector) -> str:
+    """Digest of everything an eval-mode forward pass depends on."""
+    digest = hashlib.sha256(repr(student.config).encode())
+    for param in student.model.parameters():
+        digest.update(param.data.tobytes())
+    for _, layer in student.model.named_layers():
+        if hasattr(layer, "running_mean"):
+            digest.update(layer.running_mean.tobytes())
+            digest.update(layer.running_var.tobytes())
+    return digest.hexdigest()
 
 
 class AdaptiveTrainer:
@@ -117,7 +148,12 @@ class AdaptiveTrainer:
             else:
                 layer.set_lr_scale(self.config.front_lr_scale)
 
-    def seed_replay(self, images: np.ndarray, labels: list[list[GroundTruthBox]]) -> int:
+    def seed_replay(
+        self,
+        images: np.ndarray,
+        labels: list[list[GroundTruthBox]],
+        latents: dict[tuple[str, str], np.ndarray] | None = None,
+    ) -> int:
         """Pre-populate the replay memory from offline (deployment-time) data.
 
         The paper's Algorithm 1 starts with an empty memory that fills from
@@ -127,11 +163,28 @@ class AdaptiveTrainer:
         a sample of the offline training distribution stands in for the long
         history an established deployment would already hold.  Returns the
         number of items stored.
+
+        The activations come from a throwaway copy of the student, so the
+        student keeps no layer caches of the seed batch.  ``latents``
+        shares them between trainers (see :class:`ReplaySeed`).
         """
         if images.shape[0] != len(labels):
             raise ValueError("images and labels must have the same length")
         targets = self.student.codec.encode_batch(labels)
-        items = self._make_replay_items(images, targets, self.config.replay_layer)
+        cut = self.config.replay_layer
+        if cut == "input":
+            items = self._make_replay_items(images, targets, cut)
+        else:
+            latents = {} if latents is None else latents
+            key = (cut, _student_digest(self.student))
+            if key not in latents:
+                model = self.student.clone().model.eval()
+                latents[key] = model.forward_until(images, cut)
+                latents[key].flags.writeable = False
+            items = [
+                ReplayItem(activation=activation, targets=target)
+                for activation, target in zip(latents[key], targets)
+            ]
         space = self.replay.capacity - len(self.replay)
         for item in items[:space]:
             self.replay.items.append(item)

@@ -28,13 +28,14 @@ Every camera still produces a full per-camera
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from repro.core.actors import EdgeActor, SessionKernel, SharedLinkTransport
-from repro.core.adaptive_training import AdaptiveTrainer
+from repro.core.adaptive_training import AdaptiveTrainer, ReplaySeed
 from repro.core.autoscaling import (
     AutoscaleController,
     AutoscalePolicy,
@@ -526,6 +527,23 @@ class FleetResult:
         raise KeyError(f"no camera named {camera!r}")
 
 
+def _replay_seed_digest(images: np.ndarray, labels: list) -> str:
+    """Journal-safe identity of the replay seed's images and labels."""
+    images = np.ascontiguousarray(images)
+    return stable_digest(
+        {
+            "images": hashlib.sha256(images.tobytes()).hexdigest(),
+            "dtype": images.dtype.str,
+            "shape": list(images.shape),
+            "labels": [
+                [[box.class_id, box.cx, box.cy, box.w, box.h] for box in boxes]
+                for boxes in labels
+            ],
+        },
+        length=64,
+    )
+
+
 class FleetSession:
     """N cameras, one cloud (1..N GPUs), one shared network link.
 
@@ -786,6 +804,11 @@ class FleetSession:
         self.edge_compute = edge_compute or EdgeComputeModel()
         self.cloud_compute = cloud_compute or CloudComputeModel()
         self.replay_seed = replay_seed
+        # every camera's student (and every AMS tenant's) starts as a
+        # clone of ``student``, so they all share one seed forward pass
+        self._shared_replay_seed = (
+            None if replay_seed is None else ReplaySeed(*replay_seed, latents={})
+        )
         self.batch_overhead_seconds = batch_overhead_seconds
 
         self.cloud = CloudServer(
@@ -825,8 +848,8 @@ class FleetSession:
         trainer = None
         if options.adapt and options.train_location == "edge":
             trainer = AdaptiveTrainer(student, cfg.training, seed=spec.seed)
-            if self.replay_seed is not None:
-                trainer.seed_replay(*self.replay_seed)
+            if self._shared_replay_seed is not None:
+                trainer.seed_replay(*self._shared_replay_seed)
         edge = EdgeDevice(
             student,
             config=cfg,
@@ -858,7 +881,7 @@ class FleetSession:
             schedule=spec.dataset.schedule,
             controller=SamplingRateController(cfg.sampling),
             seed=spec.seed,
-            replay_seed=self.replay_seed,
+            replay_seed=self._shared_replay_seed,
             weight=spec.weight,
         )
         if self.federation is not None:
@@ -940,7 +963,9 @@ class FleetSession:
                 "downlink_kbps": meta_link_config.downlink_kbps,
                 "rtt_seconds": meta_link_config.rtt_seconds,
             },
-            "replay_seed": None if self.replay_seed is None else list(self.replay_seed),
+            "replay_seed": (
+                None if self.replay_seed is None else _replay_seed_digest(*self.replay_seed)
+            ),
         }
         if self.federation is not None and not self._degenerate:
             meta["regions"] = [region.describe() for region in self.federation.regions]

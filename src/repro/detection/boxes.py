@@ -94,11 +94,12 @@ def nms(detections: list[Detection], iou_threshold: float = 0.45) -> list[Detect
             key=lambda d: d.score,
             reverse=True,
         )
-        while candidates:
-            best = candidates.pop(0)
+        boxes = [(d, d.as_xyxy()) for d in candidates]
+        while boxes:
+            best, best_xyxy = boxes.pop(0)
             kept.append(best)
-            candidates = [
-                d for d in candidates if iou_xyxy(best.as_xyxy(), d.as_xyxy()) < iou_threshold
+            boxes = [
+                (d, xyxy) for d, xyxy in boxes if iou_xyxy(best_xyxy, xyxy) < iou_threshold
             ]
     return sorted(kept, key=lambda d: d.score, reverse=True)
 

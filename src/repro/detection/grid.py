@@ -120,23 +120,35 @@ class GridCodec:
         class_prob /= class_prob.sum(axis=0, keepdims=True)
         box_raw = output_map[1 + NUM_CLASSES :]
 
-        detections: list[Detection] = []
+        # every candidate cell at once, in the row-major order np.where
+        # yields; elementwise ufuncs give each cell the bits a per-cell
+        # scalar computation would
         rows, cols = np.where(obj_prob >= conf_threshold)
-        for row, col in zip(rows, cols):
-            class_id = int(class_prob[:, row, col].argmax())
-            score = float(obj_prob[row, col] * class_prob[class_id, row, col])
-            if score < conf_threshold * 0.5:
-                continue
-            dx = float(sigmoid(np.array([box_raw[0, row, col]]))[0])
-            dy = float(sigmoid(np.array([box_raw[1, row, col]]))[0])
-            w = float(np.exp(np.clip(box_raw[2, row, col], -6.0, 3.0)) / s)
-            h = float(np.exp(np.clip(box_raw[3, row, col], -6.0, 3.0)) / s)
-            cx = (col + dx) / s
-            cy = (row + dy) / s
-            if w <= 0 or h <= 0:
+        cell_probs = class_prob[:, rows, cols]
+        class_ids = cell_probs.argmax(axis=0)
+        scores = obj_prob[rows, cols] * cell_probs[class_ids, np.arange(rows.size)]
+        cells = box_raw[:, rows, cols]
+        dxs = sigmoid(cells[0])
+        dys = sigmoid(cells[1])
+        ws = np.exp(np.clip(cells[2], -6.0, 3.0)) / s
+        hs = np.exp(np.clip(cells[3], -6.0, 3.0)) / s
+
+        detections: list[Detection] = []
+        for row, col, class_id, score, dx, dy, w, h in zip(
+            rows, cols, class_ids.tolist(), scores.tolist(), dxs.tolist(),
+            dys.tolist(), ws.tolist(), hs.tolist(),
+        ):
+            if score < conf_threshold * 0.5 or w <= 0 or h <= 0:
                 continue
             detections.append(
-                Detection(class_id=class_id, cx=cx, cy=cy, w=w, h=h, score=min(1.0, score))
+                Detection(
+                    class_id=class_id,
+                    cx=(col + dx) / s,
+                    cy=(row + dy) / s,
+                    w=w,
+                    h=h,
+                    score=min(1.0, score),
+                )
             )
         detections = nms(detections, nms_iou)
         return detections[:max_detections]

@@ -206,6 +206,15 @@ class StudentDetector:
         if images.ndim != 4 or images.shape[1:] != expected:
             raise ValueError(f"expected images of shape (N, {expected}), got {images.shape}")
 
+    def _eval_mode(self) -> None:
+        """Switch to eval mode unless already there.
+
+        ``train()``/``eval()`` always switch the whole model, so the root's
+        flag speaks for every layer and the tree walk can be skipped.
+        """
+        if self.model.training:
+            self.model.eval()
+
     def forward(self, images: np.ndarray) -> np.ndarray:
         """Raw output maps ``(N, CELL_CHANNELS, S, S)``."""
         self._check_images(images)
@@ -214,7 +223,7 @@ class StudentDetector:
     def detect(self, image: np.ndarray, conf_threshold: float | None = None) -> list[Detection]:
         """Run inference on a single CHW image and decode detections."""
         threshold = conf_threshold if conf_threshold is not None else self.config.conf_threshold
-        self.model.eval()
+        self._eval_mode()
         output = self.forward(image[None])[0]
         return self.codec.decode(output, conf_threshold=threshold, nms_iou=self.config.nms_iou)
 
@@ -223,7 +232,7 @@ class StudentDetector:
     ) -> list[list[Detection]]:
         """Batched inference convenience used by evaluation code."""
         threshold = conf_threshold if conf_threshold is not None else self.config.conf_threshold
-        self.model.eval()
+        self._eval_mode()
         outputs = self.forward(images)
         return [
             self.codec.decode(out, conf_threshold=threshold, nms_iou=self.config.nms_iou)
@@ -232,7 +241,7 @@ class StudentDetector:
 
     def confidence_scores(self, image: np.ndarray) -> np.ndarray:
         """Per-cell objectness confidence (used for the α accuracy estimate)."""
-        self.model.eval()
+        self._eval_mode()
         output = self.forward(image[None])[0]
         return sigmoid(output[0])
 

@@ -38,17 +38,28 @@ def im2col(
     Returns an array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``
     so a convolution becomes a single matrix multiplication with the reshaped
     weight tensor.
+
+    The memory order of the result is part of the contract: BLAS rounds a
+    product differently for row- and column-major operands.  One image
+    gives a column-major matrix (the transpose of contiguous CHW columns),
+    a batch a row-major one.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
 
+    if kernel_h == kernel_w == stride == 1 and padding == 0:
+        # a 1x1 kernel needs no unfolding: the columns are the pixels.  A
+        # batch that is NHWC in memory, as Conv2d outputs are, is a view.
+        if n == 1:
+            return np.ascontiguousarray(x.reshape(c, h * w)).T
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(-1, c))
+
     if padding > 0:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
-        )
+        # one zeroed buffer and a slice copy: half the cost of np.pad
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded
 
     cols = np.empty((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
     for ky in range(kernel_h):

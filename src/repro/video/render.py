@@ -19,6 +19,7 @@ substitution is documented in DESIGN.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,16 @@ class FrameRenderer:
         self._texture = texture_rng.normal(
             0.0, 0.015, size=(self.config.height, self.config.width)
         )
+        # the background and shades hold for one domain and are dropped
+        # when it changes (a drift blend is a new domain every frame)
+        self._domain: Domain | None = None
+        self._background: np.ndarray | None = None
+        #: (class_id, appearance) -> (colour, bright shade, dark shade) of
+        #: the objects drawn in this frame, and in the frame before
+        self._shades: dict[tuple[int, float], tuple[np.ndarray, ...]] = {}
+        self._last_shades: dict[tuple[int, float], tuple[np.ndarray, ...]] = {}
+        #: patch (height, width) -> (blend mask, 1 - blend mask)
+        self._blends: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- public API ---------------------------------------------------------
     def render(
@@ -78,9 +89,13 @@ class FrameRenderer:
         h, w = self.config.height, self.config.width
         image = np.empty((3, h, w), dtype=np.float64)
 
-        background = (_BACKGROUND_GRAY + self._texture) * domain.illumination
-        image[:] = background[None, :, :]
+        if domain != self._domain:
+            self._domain = domain
+            self._background = (_BACKGROUND_GRAY + self._texture) * domain.illumination
+            self._shades = {}
+        image[:] = self._background[None, :, :]
 
+        self._last_shades, self._shades = self._shades, {}
         for obj in objects:
             self._draw_object(image, obj, domain)
 
@@ -90,7 +105,7 @@ class FrameRenderer:
         if domain.noise_std > 0:
             image += self._rng.normal(0.0, domain.noise_std, size=image.shape)
 
-        return np.clip(image, 0.0, 1.0)
+        return np.clip(image, 0.0, 1.0, out=image)
 
     # -- internals ------------------------------------------------------------
     def _object_color(self, class_id: int, appearance: float, domain: Domain) -> np.ndarray:
@@ -109,6 +124,36 @@ class FrameRenderer:
         color = background + (base - background) * domain.contrast
         return np.clip(color * domain.illumination, 0.0, 1.0)
 
+    def _object_shades(
+        self, class_id: int, appearance: float, domain: Domain
+    ) -> tuple[np.ndarray, ...]:
+        """Colour, bright and dark pattern shade of one object in ``domain``.
+
+        Reused when the object was drawn in this frame or the one before,
+        computed otherwise.
+        """
+        key = (class_id, appearance)
+        shades = self._shades.get(key) or self._last_shades.get(key)
+        if shades is None:
+            color = self._object_color(class_id, appearance, domain)
+            bright = np.clip(color * 1.3 * domain.illumination + 0.08, 0.0, 1.0)
+            dark = np.clip(color * 0.55, 0.0, 1.0)
+            shades = (color[:, None, None], bright, dark)
+        self._shades[key] = shades
+        return shades
+
+    def _blend_masks(self, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Soft blend at the object border, solid in the middle (and 1 - it)."""
+        masks = self._blends.get((height, width))
+        if masks is None:
+            blend = np.full((height, width), 0.92)
+            blend[0, :] *= 0.6
+            blend[-1, :] *= 0.6
+            blend[:, 0] *= 0.6
+            blend[:, -1] *= 0.6
+            masks = self._blends[(height, width)] = (blend[None], 1.0 - blend[None])
+        return masks
+
     def _draw_object(
         self,
         image: np.ndarray,
@@ -116,37 +161,30 @@ class FrameRenderer:
         domain: Domain,
     ) -> None:
         h, w = self.config.height, self.config.width
-        appearance = getattr(obj, "appearance", 0.0)
-        color = self._object_color(obj.class_id, appearance, domain)
-
-        x1 = int(np.floor((obj.cx - obj.w / 2) * w))
-        x2 = int(np.ceil((obj.cx + obj.w / 2) * w))
-        y1 = int(np.floor((obj.cy - obj.h / 2) * h))
-        y2 = int(np.ceil((obj.cy + obj.h / 2) * h))
+        x1 = math.floor((obj.cx - obj.w / 2) * w)
+        x2 = math.ceil((obj.cx + obj.w / 2) * w)
+        y1 = math.floor((obj.cy - obj.h / 2) * h)
+        y2 = math.ceil((obj.cy + obj.h / 2) * h)
         x1, x2 = max(0, x1), min(w, x2)
         y1, y2 = max(0, y1), min(h, y2)
         if x2 <= x1 or y2 <= y1:
             return
 
+        appearance = getattr(obj, "appearance", 0.0)
+        color, bright, dark = self._object_shades(obj.class_id, appearance, domain)
+        blend, keep = self._blend_masks(y2 - y1, x2 - x1)
         patch = image[:, y1:y2, x1:x2]
-        # soft blend at the object border, solid in the middle
-        blend = np.full((y2 - y1, x2 - x1), 0.92)
-        blend[0, :] *= 0.6
-        blend[-1, :] *= 0.6
-        blend[:, 0] *= 0.6
-        blend[:, -1] *= 0.6
-        image[:, y1:y2, x1:x2] = (
-            patch * (1.0 - blend[None]) + color[:, None, None] * blend[None]
-        )
+        patch *= keep
+        patch += color * blend
 
-        self._draw_class_pattern(image, obj.class_id, color, domain, x1, x2, y1, y2)
+        self._draw_class_pattern(image, obj.class_id, bright, dark, x1, x2, y1, y2)
 
     def _draw_class_pattern(
         self,
         image: np.ndarray,
         class_id: int,
-        color: np.ndarray,
-        domain: Domain,
+        bright: np.ndarray,
+        dark: np.ndarray,
         x1: int,
         x2: int,
         y1: int,
@@ -158,8 +196,6 @@ class FrameRenderer:
         on, which keeps every domain learnable; the colour rotation of hard
         domains still breaks a daylight-only model badly.
         """
-        bright = np.clip(color * 1.3 * domain.illumination + 0.08, 0.0, 1.0)
-        dark = np.clip(color * 0.55, 0.0, 1.0)
         height = y2 - y1
         if class_id == 0:  # car: single windshield stripe near the top
             stripe_y = y1 + max(1, height // 4)

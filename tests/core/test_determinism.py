@@ -27,13 +27,14 @@ from pathlib import Path
 import pytest
 
 from repro.core import FaultPlan, FleetSession
-from repro.eval import fleet_fingerprint
+from repro.eval import ExperimentSettings, fleet_fingerprint, run_fleet
 from repro.runtime.journal import EventJournal
 from repro.detection import (
     StudentConfig,
     StudentDetector,
     TeacherConfig,
     TeacherDetector,
+    generate_offline_dataset,
 )
 from repro.testing.scenarios import build_cameras, small_fleet_config
 
@@ -242,6 +243,43 @@ def test_prefix_replay_truncates_cleanly_at_timer_boundaries(builder, event_type
     assert_clean_halt_at(journal, builder, boundary + 1)
     full = journal.replay(builder)
     assert not full.halted and full.events_checked == journal.num_events
+
+
+def test_replay_seeded_run_journals_and_replays_to_the_live_result():
+    """A replay seed's arrays are journaled as a digest, not raw ndarrays."""
+    settings = ExperimentSettings(num_frames=60, eval_stride=5, replay_seed_images=4, seed=2)
+    config = small_fleet_config()
+
+    def cameras():
+        return build_cameras(
+            2, 60, datasets=["detrac", "kitti"], strategies=["shoggoth", "ams"], seed_base=SEED
+        )
+
+    def build(replay_seed) -> FleetSession:
+        return FleetSession(
+            cameras(),
+            student=StudentDetector(StudentConfig(seed=5)),
+            teacher=TeacherDetector(TeacherConfig(seed=settings.seed + 7)),
+            config=config,
+            replay_seed=replay_seed,
+        )
+
+    journal = EventJournal()
+    live = run_fleet(
+        cameras(), StudentDetector(StudentConfig(seed=5)), settings=settings,
+        config=config, journal=journal,
+    )
+    images, labels = generate_offline_dataset(4, seed=settings.seed + 900)
+    report = journal.replay(lambda: build((images, labels)))
+    assert not report.halted and report.events_checked == journal.num_events
+    assert fleet_fingerprint(report.result) == fleet_fingerprint(live.fleet)
+
+    digest = journal.meta["replay_seed"]
+    changed = images.copy()
+    changed[0, 0, 0, 0] += 1e-9
+    assert build((changed, labels))._journal_meta()["replay_seed"] != digest
+    # without a replay seed the header keeps its committed form
+    assert build(None)._journal_meta()["replay_seed"] is None
 
 
 def test_replay_rejects_a_differently_configured_session():

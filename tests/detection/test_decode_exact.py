@@ -1,0 +1,148 @@
+"""Bit-exactness of the vectorised grid decoder and of NMS.
+
+``GridCodec.decode`` computes every candidate cell's class, score and box
+at once; ``nms`` computes each box's corners once.  Both are compared
+with reference copies of the per-cell and per-pair code they replaced:
+the same detections, in the same order, with the same float bits and the
+same Python/NumPy scalar types.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.detection import Detection, GridCodec
+from repro.detection.boxes import iou_xyxy, nms
+from repro.detection.grid import CELL_CHANNELS
+from repro.nn.functional import sigmoid
+from repro.video.domains import NUM_CLASSES
+
+
+def reference_nms(detections, iou_threshold=0.45):
+    kept = []
+    for class_id in sorted({d.class_id for d in detections}):
+        candidates = sorted(
+            (d for d in detections if d.class_id == class_id),
+            key=lambda d: d.score,
+            reverse=True,
+        )
+        while candidates:
+            best = candidates.pop(0)
+            kept.append(best)
+            candidates = [
+                d for d in candidates if iou_xyxy(best.as_xyxy(), d.as_xyxy()) < iou_threshold
+            ]
+    return sorted(kept, key=lambda d: d.score, reverse=True)
+
+
+def reference_decode(output_map, s, conf_threshold=0.5, nms_iou=0.45, max_detections=20):
+    """One scalar sigmoid/exp/clip per candidate cell."""
+    obj_prob = sigmoid(output_map[0])
+    class_logits = output_map[1 : 1 + NUM_CLASSES]
+    shifted = class_logits - class_logits.max(axis=0, keepdims=True)
+    class_prob = np.exp(shifted)
+    class_prob /= class_prob.sum(axis=0, keepdims=True)
+    box_raw = output_map[1 + NUM_CLASSES :]
+
+    detections = []
+    rows, cols = np.where(obj_prob >= conf_threshold)
+    for row, col in zip(rows, cols):
+        class_id = int(class_prob[:, row, col].argmax())
+        score = float(obj_prob[row, col] * class_prob[class_id, row, col])
+        if score < conf_threshold * 0.5:
+            continue
+        dx = float(sigmoid(np.array([box_raw[0, row, col]]))[0])
+        dy = float(sigmoid(np.array([box_raw[1, row, col]]))[0])
+        w = float(np.exp(np.clip(box_raw[2, row, col], -6.0, 3.0)) / s)
+        h = float(np.exp(np.clip(box_raw[3, row, col], -6.0, 3.0)) / s)
+        cx = (col + dx) / s
+        cy = (row + dy) / s
+        if w <= 0 or h <= 0:
+            continue
+        detections.append(
+            Detection(class_id=class_id, cx=cx, cy=cy, w=w, h=h, score=min(1.0, score))
+        )
+    return reference_nms(detections, nms_iou)[:max_detections]
+
+
+def fields(detection):
+    """Every field with its type and exact bits."""
+    return [
+        (type(value), value.hex() if isinstance(value, float) else value)
+        for value in (
+            detection.class_id,
+            detection.cx,
+            detection.cy,
+            detection.w,
+            detection.h,
+            detection.score,
+        )
+    ]
+
+
+def assert_same_detections(actual, expected):
+    assert [fields(d) for d in actual] == [fields(d) for d in expected]
+
+
+def output_maps(rng, s):
+    """Typical maps, dense/empty candidate sets, saturating and NaN cells."""
+    for scale in (1.0, 3.0, 12.0):
+        yield rng.normal(0.0, scale, size=(CELL_CHANNELS, s, s))
+    dense = rng.normal(size=(CELL_CHANNELS, s, s))
+    dense[0] = 6.0  # every cell is a candidate
+    yield dense
+    empty = rng.normal(size=(CELL_CHANNELS, s, s))
+    empty[0] = -6.0
+    yield empty
+    saturated = rng.normal(0.0, 40.0, size=(CELL_CHANNELS, s, s))
+    saturated[0] = np.abs(saturated[0])
+    yield saturated
+    with_nan = rng.normal(0.0, 2.0, size=(CELL_CHANNELS, s, s))
+    with_nan[0, 0, :] = 5.0
+    with_nan[1, 0, 1] = np.nan
+    with_nan[-1, 0, 2] = np.nan
+    yield with_nan
+
+
+@pytest.mark.parametrize("grid_size", [4, 8])
+@pytest.mark.parametrize("conf_threshold", [0.05, 0.5, 0.9])
+def test_decode_matches_scalar_reference(grid_size, conf_threshold):
+    codec = GridCodec(grid_size)
+    rng = np.random.default_rng(grid_size * 10 + int(conf_threshold * 100))
+    for output_map in output_maps(rng, grid_size):
+        for nms_iou, max_detections in ((0.45, 20), (0.3, 5), (1.0, 64)):
+            actual = codec.decode(output_map, conf_threshold, nms_iou, max_detections)
+            expected = reference_decode(
+                output_map, grid_size, conf_threshold, nms_iou, max_detections
+            )
+            assert_same_detections(actual, expected)
+
+
+def random_detections(rng, count):
+    """Clustered boxes so many pairs overlap, with repeated scores."""
+    centres = rng.uniform(0.2, 0.8, size=(4, 2))
+    detections = []
+    for _ in range(count):
+        cx, cy = centres[rng.integers(4)] + rng.normal(0.0, 0.03, size=2)
+        detections.append(
+            Detection(
+                class_id=int(rng.integers(NUM_CLASSES)),
+                cx=float(cx),
+                cy=float(cy),
+                w=float(rng.uniform(0.05, 0.3)),
+                h=float(rng.uniform(0.05, 0.3)),
+                score=float(rng.choice([0.5, 0.75, rng.uniform()])),
+            )
+        )
+    return detections
+
+
+@pytest.mark.parametrize("iou_threshold", [0.1, 0.45, 0.9, 1.0])
+def test_nms_matches_reference(iou_threshold):
+    rng = np.random.default_rng(int(iou_threshold * 100))
+    for count in (0, 1, 2, 10, 60):
+        detections = random_detections(rng, count)
+        assert_same_detections(
+            nms(detections, iou_threshold), reference_nms(detections, iou_threshold)
+        )
