@@ -1270,30 +1270,17 @@ class SessionKernel:
 
     def _handle_link_partition(self, event: LinkPartitionEvent) -> None:
         # only fault plans with partitions enabled schedule these; the
-        # shared link pauses (cut) or resumes (heal) both directions and
-        # the transport re-projects its pending completions — a cut
-        # cancels them (nothing can complete while partitioned), a heal
-        # reschedules them from the transfers' preserved remaining bits
-        transport = self.transport
-        on_partition = getattr(transport, "on_partition", None)
-        if on_partition is not None:
-            # federated transport: the event's camera_id tags the region
-            # whose WAN link partitions
-            on_partition(event, self.scheduler)
-            return
-        link = getattr(transport, "link", None)
-        begin = getattr(link, "begin_partition", None)
-        if begin is None:
+        # fleet's federated transport pauses (cut) or resumes (heal) the
+        # tagged region's link and re-projects its pending completions —
+        # a cut cancels them (nothing can complete while partitioned), a
+        # heal reschedules them from the preserved remaining bits
+        on_partition = getattr(self.transport, "on_partition", None)
+        if on_partition is None:
             raise TypeError(
                 "LinkPartitionEvent scheduled but this kernel's transport "
-                "has no partitionable shared link"
+                "cannot partition"
             )
-        if event.healed:
-            link.end_partition(event.time)
-        else:
-            begin(event.time)
-        transport._sync_uplink(self.scheduler, event.time)
-        transport._sync_downlink(self.scheduler, event.time)
+        on_partition(event, self.scheduler)
 
     def _handle_retry_timer(self, event: RetryTimer) -> None:
         if self.channel is None:

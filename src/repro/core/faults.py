@@ -42,21 +42,13 @@ from typing import Callable
 import numpy as np
 
 from repro.core.actors import EdgeActor, SharedLinkTransport
-from repro.network.link import (
-    LinkConfig,
-    LinkTransfer,
-    SharedLink,
-    WanProfile,
-    _SharedPipe,
-    _WanAccounting,
-)
+from repro.network.link import LinkConfig, LinkTransfer, SharedLink, _SharedPipe
 from repro.network.messages import LabelDownload, Message, ModelDownload
 from repro.runtime.events import EventScheduler, RetryTimer
 
 __all__ = [
     "FaultPlan",
     "FaultySharedLink",
-    "FaultyRegionLink",
     "ReliableChannel",
     "ReliableTransport",
     "CrashRecord",
@@ -506,23 +498,6 @@ class FaultySharedLink(SharedLink):
             )
             pipe.add(duplicate, now)
         return transfer
-
-
-class FaultyRegionLink(_WanAccounting, FaultySharedLink):
-    """A region's WAN link with both egress billing and message faults.
-
-    The federation's per-region counterpart of
-    :class:`FaultySharedLink`: bytes are billed per send attempt *before*
-    the fault verdict is drawn (a lost message still crossed the
-    sender's WAN egress), and every verdict comes from the shared
-    :class:`FaultPlan` message stream, so chaos runs stay replayable.
-    """
-
-    profile: WanProfile
-
-    def __init__(self, profile: WanProfile | None, plan: FaultPlan) -> None:
-        self.profile = profile or WanProfile()
-        super().__init__(self.profile.link_config(), plan)
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """Geo-distributed federation: N regional clusters behind WAN links.
 
-One :class:`~repro.core.fleet.FleetSession` normally runs every camera
-against a single :class:`~repro.core.cluster.CloudCluster` over one
-shared link.  A :class:`Federation` generalises that to N named
-:class:`Region`\\ s — each its own cluster (GPUs, placement, scheduler,
-batching, autoscaler) behind a :class:`~repro.network.link.RegionLink`
-with a distinct WAN profile (latency / bandwidth / $-per-GB egress) —
-plus the three control loops a geo-distributed deployment needs:
+Every :class:`~repro.core.fleet.FleetSession` runs its cameras through
+a :class:`Federation` of named :class:`Region`\\ s — each its own
+cluster (GPUs, placement, scheduler, batching, autoscaler, spot
+revocations) behind a :class:`~repro.network.link.SharedLink` built
+from a distinct :class:`~repro.network.link.WanProfile` (latency /
+bandwidth / $-per-GB egress).  A session built without
+``regions=[...]`` is a one-region federation with a free WAN.  On top
+of the regions sit the three control loops a geo-distributed
+deployment needs:
 
 * **region selection** — a pluggable :class:`RegionSelector` layer
   *above* the per-cluster :class:`~repro.core.scheduling.PlacementPolicy`
@@ -29,17 +31,19 @@ plus the three control loops a geo-distributed deployment needs:
 
 The federation is *cloud-addressable*: it exposes the same handler
 surface as a single cluster (``on_upload`` / ``on_labeling_done`` /
-``on_batch_timeout`` / ``on_crash`` / ``register_camera`` / ...), so the
+``on_batch_timeout`` / ``on_revocation`` / ``on_crash`` /
+``register_camera`` / ...), so the
 :class:`~repro.core.actors.SessionKernel` drives it unchanged.  Events
 that carry no region tag are routed by *identity*: a
 :class:`~repro.runtime.events.LabelingDone` belongs to the worker whose
 ``pending_completion`` is that exact event object, a
 :class:`~repro.runtime.events.BatchTimeout` to the batcher whose armed
-timer it is, an :class:`~repro.runtime.events.AutoscaleTick` to the
-controller that scheduled it, and a delivery event to the region link
-that projected it.  Identity routing adds no payload fields, which is
-what keeps a degenerate 1-region federation's journal byte-identical
-to the plain single-cluster run.
+timer it is, a :class:`~repro.runtime.events.RevocationEvent` to the
+cluster that scheduled it, an
+:class:`~repro.runtime.events.AutoscaleTick` to the controller that
+scheduled it, and a delivery event to the region link that projected
+it.  Identity routing adds no payload fields, which is what keeps a
+one-region federation's journal byte-identical to a single cluster's.
 """
 
 from __future__ import annotations
@@ -51,16 +55,16 @@ import numpy as np
 from repro.core.actors import SharedLinkTransport
 from repro.core.autoscaling import AutoscaleController, build_autoscaler
 from repro.core.batching import BatchPolicy, FleetBatcher
-from repro.core.cluster import CloudCluster, SchedulerSpec
+from repro.core.cluster import CloudCluster, RevocationProcess, SchedulerSpec
 from repro.core.faults import (
     PLANTED_BUGS,
     FaultPlan,
-    FaultyRegionLink,
+    FaultySharedLink,
     ReliableChannel,
     ReliableTransport,
 )
 from repro.core.scheduling import WorkerSpec
-from repro.network.link import RegionLink, WanProfile
+from repro.network.link import SharedLink, WanProfile
 from repro.runtime.events import (
     AutoscaleTick,
     BatchTimeout,
@@ -94,13 +98,14 @@ __all__ = [
 class RegionSpec:
     """One region of the federation: its cluster shape and WAN profile.
 
-    Per-region knobs mirror the single-cluster :class:`FleetSession`
+    Per-region knobs are the per-cluster :class:`FleetSession`
     arguments (GPUs, placement, scheduler, worker specs, batching,
-    autoscaler); the WAN profile adds the geo dimension — latency,
-    bandwidth and an egress price every byte crossing the region's
-    link pays.  Spot revocations are deliberately *not* a per-region
-    knob: the federation's own outage process already models capacity
-    loss, and mixing the two would entangle their accounting.
+    autoscaler, spot revocations and how their victims' jobs recover);
+    the WAN profile adds the geo dimension — latency, bandwidth and an
+    egress price every byte crossing the region's link pays.  A
+    :class:`~repro.core.cluster.RevocationProcess` revokes the spot
+    workers of its own region only, so each region needs its own
+    instance.
     """
 
     name: str
@@ -111,6 +116,8 @@ class RegionSpec:
     worker_specs: WorkerSpec | list[WorkerSpec] | None = None
     batching: "FleetBatcher | BatchPolicy | str | None" = None
     autoscaler: object | None = None
+    revocations: RevocationProcess | None = None
+    revocation_mode: str = "relabel"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -118,24 +125,32 @@ class RegionSpec:
 
 
 class Region:
-    """One live region: cluster + WAN link + autoscaler + homing state."""
+    """One live region: cluster + WAN link + autoscaler + homing state.
+
+    Construction rejects a cluster that would fail only mid-run, when
+    the run first needs a worker it cannot add (see
+    :meth:`_check_growth`).
+    """
 
     def __init__(self, index: int, spec: RegionSpec, plan: FaultPlan | None) -> None:
         self.index = index
         self.spec = spec
         self.name = spec.name
-        if plan is not None:
-            self.link: RegionLink | FaultyRegionLink = FaultyRegionLink(spec.wan, plan)
-        else:
-            self.link = RegionLink(spec.wan)
+        config = spec.wan.link_config()
+        self.link = (
+            SharedLink(config) if plan is None else FaultySharedLink(config, plan)
+        )
         self.cluster = CloudCluster(
             num_gpus=spec.num_gpus,
             placement=spec.placement,
             scheduler=spec.scheduler,
             worker_specs=spec.worker_specs,
+            revocations=spec.revocations,
+            revocation_mode=spec.revocation_mode,
             batching=spec.batching,
         )
         self.autoscaler = build_autoscaler(spec.autoscaler)
+        self._check_growth(plan)
         #: the per-run AutoscaleController (attached by Federation.bind)
         self.controller: AutoscaleController | None = None
         #: this region's inner point-to-point transport over its link
@@ -153,10 +168,57 @@ class Region:
         self.num_migrations_away = 0
         self.num_migrations_in = 0
 
+    def _check_growth(self, plan: FaultPlan | None) -> None:
+        """Fail now, not at the first scale-out, revocation or crash.
+
+        A cluster built around one ready GpuScheduler instance has no
+        recipe for a new worker's scheduler, so it can neither recover
+        a spot kill (which may need an emergency worker), nor grow under
+        an autoscaler, nor replace a crashed worker.  And ``min_gpus``
+        only gates scale-in — no policy scales out just to reach the
+        floor — so a floor above the starting size would silently never
+        hold.
+        """
+        cluster, scaler = self.cluster, self.autoscaler
+        fix = (
+            "construct it with a scheduler policy name or a zero-arg "
+            "factory, not a single GpuScheduler instance"
+        )
+        scaling = scaler.name != "none"
+        if not cluster.can_grow:
+            if cluster.revocations is not None and any(
+                spec.preemptible for spec in cluster.worker_specs
+            ):
+                raise ValueError(
+                    "a cluster with preemptible workers and a revocation "
+                    f"process must be able to provision replacements; {fix}"
+                )
+            if scaling and scaler.max_gpus > cluster.num_gpus:
+                raise ValueError(
+                    f"autoscaler {scaler.name!r} may grow the cluster to "
+                    f"{scaler.max_gpus} GPUs, but the cluster cannot add "
+                    f"workers; {fix}"
+                )
+            if plan is not None and plan.mean_time_between_crashes is not None:
+                raise ValueError(
+                    "a fault plan with crashes must be able to provision "
+                    f"replacement workers; {fix}"
+                )
+        if scaling and scaler.min_gpus > cluster.num_gpus:
+            raise ValueError(
+                f"autoscaler {scaler.name!r} keeps at least {scaler.min_gpus} "
+                f"GPUs but the cluster starts with {cluster.num_gpus}; set "
+                "num_gpus >= min_gpus"
+            )
+
     @property
     def wan(self) -> WanProfile:
         """The region's WAN shape (bandwidth, RTT, egress price)."""
         return self.spec.wan
+
+    def wan_dollar_cost(self) -> float:
+        """Dollar cost of every byte billed to this region's WAN so far."""
+        return self.link.wan_bytes / 1e9 * self.wan.cost_per_gb
 
     def describe(self) -> dict:
         """Canonical-JSON-safe identity for the journal meta header."""
@@ -399,10 +461,8 @@ class FederatedTransport:
     def on_partition(self, event: LinkPartitionEvent, scheduler: EventScheduler) -> None:
         """Cut or heal one region's WAN link (``camera_id`` tags the region).
 
-        Mirrors the single-link kernel path exactly — pause/resume both
-        pipes, then re-project the pending completions — which is what
-        keeps the degenerate 1-region federation byte-identical to the
-        plain run under partition chaos.
+        Pause/resume both pipes, then re-project the pending
+        completions; nothing is lost, transfers only wait out the cut.
         """
         region = self.federation.regions[event.camera_id]
         if event.healed:
@@ -441,6 +501,12 @@ class Federation:
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
             raise ValueError(f"region names must be unique, duplicated: {duplicates}")
+        processes = [id(spec.revocations) for spec in specs if spec.revocations]
+        if len(set(processes)) != len(processes):
+            raise ValueError(
+                "a RevocationProcess revokes one region's workers only; give "
+                "each RegionSpec its own instance"
+            )
         if replication_interval_seconds is not None and not (
             replication_interval_seconds > 0
         ):
@@ -512,10 +578,9 @@ class Federation:
         first (reliable ones share ``channel``), then each cluster's
         workers are created against the *federated* transport so label
         and model sends route by camera home, and each region's
-        autoscale controller is constructed and started.  The per-region
-        start order mirrors the plain session's single
-        ``controller.start`` call, which keeps the degenerate 1-region
-        federation's event sequence numbers identical to the plain run.
+        autoscale controller is constructed and started, in region
+        order, before any camera registers — so a one-region run's
+        first tick (if any) takes event sequence number 0.
         """
         if self._bound:
             raise RuntimeError(
@@ -772,7 +837,7 @@ class Federation:
         picks a victim exactly as a single cluster would, then the
         owning cluster handles the kill with a victim draw rewritten to
         its local index — same recovery semantics, same counters, and
-        for one region the same victim the plain path would pick.
+        for one region the same victim a lone cluster would pick.
         """
         now = event.time
         pools = [region.cluster.crash_eligible(now) for region in self.regions]
@@ -789,10 +854,13 @@ class Federation:
             pick -= len(pool)
 
     def on_revocation(self, event: RevocationEvent, scheduler: EventScheduler) -> None:
-        """Reject spot revocations: federations model loss as outages."""
+        """Route a spot revocation to the cluster that scheduled it."""
+        for region in self.regions:
+            if region.cluster.armed_revocations.pop(id(event), None) is event:
+                region.cluster.on_revocation(event, scheduler)
+                return
         raise RuntimeError(
-            "spot revocations are not supported under a federation; model "
-            "capacity loss with region outages instead"
+            f"RevocationEvent for worker {event.worker_id} was armed by no region"
         )
 
     def on_labels_for_training(self, actor, labeled, now, scheduler) -> None:
@@ -818,7 +886,7 @@ class Federation:
 
     def wan_dollar_cost(self) -> float:
         """Total WAN egress spend across the federation."""
-        return sum(region.link.wan_dollar_cost() for region in self.regions)
+        return sum(region.wan_dollar_cost() for region in self.regions)
 
     def compute_dollar_cost(self, horizon: float) -> float:
         """Total provisioned-capacity spend across every region."""
@@ -851,7 +919,7 @@ class Federation:
                         else 0.0
                     ),
                     "wan_bytes": region.link.wan_bytes,
-                    "wan_dollar_cost": region.link.wan_dollar_cost(),
+                    "wan_dollar_cost": region.wan_dollar_cost(),
                     "compute_dollar_cost": region.cluster.dollar_cost(duration),
                     "num_migrations_in": region.num_migrations_in,
                     "num_migrations_away": region.num_migrations_away,

@@ -21,6 +21,11 @@ and a *single* processor-sharing
   what capacity planning (how many cameras can one V100 serve — and
   how many V100s does this fleet need?) requires.
 
+The cloud is always reached through a
+:class:`~repro.core.federation.Federation`: one region (one cluster
+behind one link, as above) by default, several WAN-profiled regions
+with ``regions=[...]``.  Both run the same code path.
+
 Every camera still produces a full per-camera
 :class:`~repro.core.session.SessionResult`, plus fleet-level aggregates
 (queue delays, per-tenant GPU seconds, cloud busy time).
@@ -29,19 +34,15 @@ Every camera still produces a full per-camera
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from repro.core.actors import EdgeActor, SessionKernel, SharedLinkTransport
 from repro.core.adaptive_training import AdaptiveTrainer, ReplaySeed
-from repro.core.autoscaling import (
-    AutoscaleController,
-    AutoscalePolicy,
-    ScalingEvent,
-    build_autoscaler,
-)
+from repro.core.autoscaling import AutoscalePolicy, ScalingEvent
 from repro.core.cloud import CloudServer
 from repro.core.batching import BatchPolicy, FleetBatcher
 from repro.core.cluster import (
@@ -52,13 +53,7 @@ from repro.core.cluster import (
 )
 from repro.core.config import ShoggothConfig
 from repro.core.edge import EdgeDevice
-from repro.core.faults import (
-    CrashRecord,
-    FaultPlan,
-    FaultySharedLink,
-    ReliableChannel,
-    ReliableTransport,
-)
+from repro.core.faults import CrashRecord, FaultPlan, FaultySharedLink, ReliableChannel
 from repro.core.federation import Federation, RegionSelector, RegionSpec
 from repro.core.sampling import SamplingRateController
 from repro.core.scheduling import PlacementPolicy, WorkerSpec, jain_fairness
@@ -66,7 +61,7 @@ from repro.core.session import SessionOptions, SessionResult, resolve_session_co
 from repro.core.strategies import build_strategy
 from repro.detection.student import StudentDetector
 from repro.detection.teacher import TeacherDetector
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig, SharedLink, WanProfile
 from repro.runtime.device import CloudComputeModel, EdgeComputeModel
 from repro.runtime.journal import stable_digest
 from repro.runtime.metrics import reduce_metric
@@ -227,11 +222,11 @@ class FleetResult:
     #: frames that received teacher labels via the queued GPU path (the
     #: serving-throughput numerator: labels/sec = this / busy seconds)
     num_labeled_frames: int = 0
-    #: per-region metrics dicts, in region-index order — empty for
-    #: single-cluster runs AND for the degenerate 1-region federation
-    #: (whose result is pinned bit-for-bit to the plain run)
+    #: per-region metrics dicts, in region-index order — empty for the
+    #: degenerate 1-region federation (whose result is pinned
+    #: bit-for-bit to the pre-federation single-cluster run)
     region_metrics: list[dict] = field(default_factory=list)
-    #: which region-homing policy placed the cameras ("" = no federation)
+    #: which region-homing policy placed the cameras ("" = degenerate run)
     region_selector: str = ""
     #: cameras moved between regions (failover + heal re-homing)
     num_region_migrations: int = 0
@@ -545,7 +540,7 @@ def _replay_seed_digest(images: np.ndarray, labels: list) -> str:
 
 
 class FleetSession:
-    """N cameras, one cloud (1..N GPUs), one shared network link.
+    """N cameras, one cloud (1..N GPUs in 1..N regions), shared links.
 
     Each camera starts from a fresh clone of the pre-trained student and
     resolves its own strategy/config exactly as a standalone
@@ -557,24 +552,33 @@ class FleetSession:
     the pre-scheduler fleet behaviour exactly.  ``num_gpus`` and
     ``placement`` (``"round_robin"``, ``"least_loaded"``, ``"sticky"``,
     ``"power_of_two"``) shard the cloud into a
-    :class:`~repro.core.cluster.CloudCluster`; alternatively pass a
-    ready ``cluster`` and leave the three policy knobs at their
-    defaults.  ``autoscaler`` picks the elastic-scaling policy
-    (``"none"`` — the default, fixed cluster —, ``"slo"``, ``"step"``
-    or an :class:`~repro.core.autoscaling.AutoscalePolicy` instance)
-    that may grow/shrink the cluster online from the queue-delay
-    signal.  ``worker_specs`` describes the hardware mix (speed / cost
-    rate / spot flag per worker), ``revocations`` attaches a
+    :class:`~repro.core.cluster.CloudCluster`.  ``autoscaler`` picks the
+    elastic-scaling policy (``"none"`` — the default, fixed cluster —,
+    ``"slo"``, ``"step"`` or an
+    :class:`~repro.core.autoscaling.AutoscalePolicy` instance) that may
+    grow/shrink the cluster online from the queue-delay signal.
+    ``worker_specs`` describes the hardware mix (speed / cost rate /
+    spot flag per worker), ``revocations`` attaches a
     :class:`~repro.core.cluster.RevocationProcess` that kills spot
     workers mid-run, and ``revocation_mode`` picks how interrupted jobs
     recover (``"relabel"`` from scratch or ``"checkpoint"`` resume).
-    ``faults`` attaches a seeded :class:`~repro.core.faults.FaultPlan`:
-    the shared link is wrapped to lose/duplicate/delay messages, the
-    edge retransmits with exponential backoff through a
+    ``link_config`` shapes the shared link, or ``link`` passes a ready
+    one.  ``faults`` attaches a seeded
+    :class:`~repro.core.faults.FaultPlan`: the link is built to
+    lose/duplicate/delay messages, the edge retransmits with
+    exponential backoff through a
     :class:`~repro.core.faults.ReliableChannel` (the cloud dedups by
     message id), and the plan's Poisson crash process kills workers
-    mid-handler with supervised recovery.  ``run(journal=...)`` records
-    the full event stream into an
+    mid-handler with supervised recovery.
+
+    Every fleet runs through a :class:`~repro.core.federation.Federation`.
+    The per-cluster arguments above describe its one region, behind a
+    free WAN; ``regions`` (a list of
+    :class:`~repro.core.federation.RegionSpec`, which then carry those
+    arguments per region), ``region_selector``, ``region_outages``,
+    ``replication_interval_seconds`` and ``failover`` spread the cloud
+    across WAN-profiled regions instead — see ``docs/federation.md``.
+    ``run(journal=...)`` records the full event stream into an
     :class:`~repro.runtime.journal.EventJournal` for byte-stable
     determinism checks and exact replay.
     """
@@ -594,7 +598,6 @@ class FleetSession:
         scheduler: SchedulerSpec = None,
         num_gpus: int = 1,
         placement: PlacementPolicy | str | None = None,
-        cluster: CloudCluster | None = None,
         autoscaler: AutoscalePolicy | str | None = None,
         worker_specs: WorkerSpec | list[WorkerSpec] | None = None,
         revocations: RevocationProcess | None = None,
@@ -613,9 +616,11 @@ class FleetSession:
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
             raise ValueError(f"camera names must be unique, duplicated: {duplicates}")
-        self.federation: Federation | None = None
-        self._degenerate = False
-        self._scripted_region_outages: list[tuple[float, float, int]] = []
+        if faults is not None and link is not None:
+            raise ValueError(
+                "pass either a ready link or a fault plan, not both: message "
+                "faults are injected by wrapping the link the session builds"
+            )
         if regions is None:
             if (
                 region_selector is not None
@@ -626,181 +631,84 @@ class FleetSession:
                     "region_selector / region_outages / "
                     "replication_interval_seconds require regions=[...]"
                 )
-        else:
-            if (
-                cluster is not None
-                or scheduler is not None
-                or placement is not None
-                or num_gpus != 1
-                or worker_specs is not None
-                or revocations is not None
-                or revocation_mode != "relabel"
-                or batching is not None
-                or autoscaler is not None
-                or link is not None
-                or link_config is not None
-            ):
-                raise ValueError(
-                    "with regions=[...] the cluster/link knobs live on each "
-                    "RegionSpec; pass neither a ready cluster/link nor the "
-                    "scheduler/num_gpus/placement/worker_specs/revocations/"
-                    "revocation_mode/batching/autoscaler/link_config arguments "
-                    "(spot revocations are not supported under a federation)"
+            if link is not None:
+                link_config = link.config
+            regions = [
+                RegionSpec(
+                    name="default",
+                    num_gpus=num_gpus,
+                    wan=WanProfile(**asdict(link_config or LinkConfig())),
+                    scheduler=scheduler,
+                    placement=placement,
+                    worker_specs=worker_specs,
+                    batching=batching,
+                    autoscaler=autoscaler,
+                    revocations=revocations,
+                    revocation_mode=revocation_mode,
                 )
-            for entry in region_outages or []:
-                start, end, index = entry
-                if not 0 <= int(index) < len(regions):
-                    raise ValueError(
-                        f"region outage {entry!r} names region {index} of "
-                        f"{len(regions)}"
-                    )
-                if not float(start) < float(end):
-                    raise ValueError(
-                        f"region outage {entry!r} must cut strictly before it "
-                        "heals"
-                    )
-                self._scripted_region_outages.append(
-                    (float(start), float(end), int(index))
-                )
-            self.federation = Federation(
-                regions,
-                selector=region_selector,
-                faults=faults,
-                failover=failover,
-                replication_interval_seconds=replication_interval_seconds,
-            )
-            if (
-                faults is not None
-                and faults.mean_time_between_crashes is not None
-                and any(
-                    not region.cluster.can_grow
-                    for region in self.federation.regions
-                )
-            ):
-                raise ValueError(
-                    "a fault plan with crashes must be able to provision "
-                    "replacement workers in every region; construct each "
-                    "RegionSpec with a scheduler policy name or a zero-arg "
-                    "factory, not a single GpuScheduler instance"
-                )
-            # a degenerate federation — one region, zero-priced WAN, no
-            # outage process, no replication — is pinned bit-for-bit
-            # (fingerprint AND journal bytes) to the plain single-cluster
-            # run; the golden-pin tests hold this contract
-            self._degenerate = (
-                len(regions) == 1
-                and self.federation.regions[0].wan.cost_per_gb == 0.0
-                and not self._scripted_region_outages
-                and (faults is None or not faults.injects_region_outages)
-                and replication_interval_seconds is None
-            )
-        if self.federation is not None:
-            self.cluster = None
-        elif cluster is not None:
-            if (
-                scheduler is not None
-                or placement is not None
-                or num_gpus != 1
-                or worker_specs is not None
-                or revocations is not None
-                or revocation_mode != "relabel"
-                or batching is not None
-            ):
-                raise ValueError(
-                    "pass either a ready cluster or the scheduler/num_gpus/"
-                    "placement/worker_specs/revocations/revocation_mode/"
-                    "batching knobs, not both"
-                )
-            self.cluster = cluster
-        else:
-            self.cluster = CloudCluster(
-                num_gpus=num_gpus,
-                placement=placement,
-                scheduler=scheduler,
-                worker_specs=worker_specs,
-                revocations=revocations,
-                revocation_mode=revocation_mode,
-                batching=batching,
-            )
-        # fail now, not at the first revocation: recovering from a spot
-        # kill may need an emergency worker, which a cluster built
-        # around one ready GpuScheduler instance cannot mint
-        if (
-            self.cluster is not None
-            and self.cluster.revocations is not None
-            and any(spec.preemptible for spec in self.cluster.worker_specs)
-            and not self.cluster.can_grow
+            ]
+        elif (
+            scheduler is not None
+            or placement is not None
+            or num_gpus != 1
+            or worker_specs is not None
+            or revocations is not None
+            or revocation_mode != "relabel"
+            or batching is not None
+            or autoscaler is not None
+            or link is not None
+            or link_config is not None
         ):
             raise ValueError(
-                "a cluster with preemptible workers and a revocation process "
-                "must be able to provision replacements; construct it with a "
-                "scheduler policy name or a zero-arg factory, not a single "
-                "GpuScheduler instance"
+                "with regions=[...] the cluster/link knobs live on each "
+                "RegionSpec; pass neither a ready link nor the scheduler/"
+                "num_gpus/placement/worker_specs/revocations/revocation_mode/"
+                "batching/autoscaler/link_config arguments"
             )
-        self.autoscaler = None if self.federation is not None else build_autoscaler(
-            autoscaler
+        self._scripted_region_outages: list[tuple[float, float, int]] = []
+        for entry in region_outages or []:
+            start, end, index = entry
+            if not 0 <= int(index) < len(regions):
+                raise ValueError(
+                    f"region outage {entry!r} names region {index} of "
+                    f"{len(regions)}"
+                )
+            if not float(start) < float(end):
+                raise ValueError(
+                    f"region outage {entry!r} must cut strictly before it heals"
+                )
+            self._scripted_region_outages.append(
+                (float(start), float(end), int(index))
+            )
+        self.federation = Federation(
+            regions,
+            selector=region_selector,
+            faults=faults,
+            failover=failover,
+            replication_interval_seconds=replication_interval_seconds,
         )
-        # fail now, not minutes into the run at the first scale-out: a
-        # cluster built around one ready GpuScheduler instance has no
-        # recipe for the schedulers new workers would need
-        if (
-            self.autoscaler is not None
-            and self.autoscaler.name != "none"
-            and self.autoscaler.max_gpus > self.cluster.num_gpus
-            and not self.cluster.can_grow
-        ):
-            raise ValueError(
-                f"autoscaler {self.autoscaler.name!r} may grow the cluster to "
-                f"{self.autoscaler.max_gpus} GPUs, but the cluster was built "
-                "around a single GpuScheduler instance and cannot add workers; "
-                "construct it with a policy name or a zero-arg factory"
-            )
-        # min_gpus only gates scale-IN — no policy scales out just to
-        # reach the floor — so a floor above the starting size would
-        # silently never hold; demand the operator start at the floor
-        if (
-            self.autoscaler is not None
-            and self.autoscaler.name != "none"
-            and self.autoscaler.min_gpus > self.cluster.num_gpus
-        ):
-            raise ValueError(
-                f"autoscaler {self.autoscaler.name!r} keeps at least "
-                f"{self.autoscaler.min_gpus} GPUs but the cluster starts with "
-                f"{self.cluster.num_gpus}; set num_gpus >= min_gpus"
-            )
-        if faults is not None and link is not None:
-            raise ValueError(
-                "pass either a ready link or a fault plan, not both: message "
-                "faults are injected by wrapping the link the session builds"
-            )
-        # crash recovery provisions same-spec replacements mid-run, which
-        # a cluster built around one ready GpuScheduler instance cannot
-        # mint; fail now, not at the first crash
-        if (
-            faults is not None
-            and faults.mean_time_between_crashes is not None
-            and self.cluster is not None
-            and not self.cluster.can_grow
-        ):
-            raise ValueError(
-                "a fault plan with crashes must be able to provision "
-                "replacement workers; construct the cluster with a scheduler "
-                "policy name or a zero-arg factory, not a single GpuScheduler "
-                "instance"
-            )
+        if link is not None:
+            self.federation.regions[0].link = link
+        #: the cluster of a one-region session (None for several regions)
+        self.cluster: CloudCluster | None = (
+            self.federation.regions[0].cluster if len(regions) == 1 else None
+        )
+        # a degenerate federation — one region, zero-priced WAN, no
+        # outage process, no replication — journals and fingerprints
+        # without the region block, byte-identical to the runs recorded
+        # before the federation layer existed; the golden pins hold it
+        self._degenerate = (
+            len(regions) == 1
+            and self.federation.regions[0].wan.cost_per_gb == 0.0
+            and not self._scripted_region_outages
+            and (faults is None or not faults.injects_region_outages)
+            and replication_interval_seconds is None
+        )
         self.faults = faults
         self.cameras = list(cameras)
         self.student = student
         self.teacher = teacher
         self.config = config or ShoggothConfig()
-        if self.federation is not None:
-            # region links were built inside the federation, one WAN
-            # profile each; there is no single fleet-wide link
-            self.link = None
-        elif faults is not None:
-            self.link = FaultySharedLink(link_config, faults)
-        else:
-            self.link = link or SharedLink(link_config)
         self.edge_compute = edge_compute or EdgeComputeModel()
         self.cloud_compute = cloud_compute or CloudComputeModel()
         self.replay_seed = replay_seed
@@ -822,17 +730,13 @@ class FleetSession:
     # -- wiring ------------------------------------------------------------
     @property
     def clusters(self) -> list[CloudCluster]:
-        """Every cluster in the session, in region order (one if plain)."""
-        if self.federation is not None:
-            return [region.cluster for region in self.federation.regions]
-        return [self.cluster]
+        """Every cluster in the session, in region order."""
+        return self.federation.clusters
 
     @property
-    def links(self) -> list:
-        """Every link in the session, in region order (one if plain)."""
-        if self.federation is not None:
-            return [region.link for region in self.federation.regions]
-        return [self.link]
+    def links(self) -> list[SharedLink]:
+        """Every link in the session, in region order."""
+        return [region.link for region in self.federation.regions]
 
     def _build_camera(
         self,
@@ -858,11 +762,6 @@ class FleetSession:
             seed=spec.seed,
         )
         stream = spec.dataset.build()
-        link_config = (
-            self.federation.regions[0].link.config
-            if self.federation is not None
-            else self.link.config
-        )
         actor = EdgeActor(
             camera_id=camera_id,
             edge=edge,
@@ -873,7 +772,7 @@ class FleetSession:
             encoder=H264Encoder(stream.renderer.nominal_pixels),
             transport=transport,
             dataset=spec.dataset,
-            link_config=link_config,
+            link_config=self.federation.regions[0].link.config,
             edge_compute=self.edge_compute,
         )
         cloud_actor.register_camera(
@@ -884,11 +783,10 @@ class FleetSession:
             replay_seed=self._shared_replay_seed,
             weight=spec.weight,
         )
-        if self.federation is not None:
-            # link_config only feeds derived (counterfactual) traces, so
-            # re-pointing it at the camera's selected home region after
-            # registration changes no event timing
-            actor.link_config = self.federation.region_of(camera_id).link.config
+        # link_config only feeds derived (counterfactual) traces, so
+        # re-pointing it at the camera's selected home region after
+        # registration changes no event timing
+        actor.link_config = self.federation.region_of(camera_id).link.config
         return actor, stream
 
     def _journal_meta(self) -> dict:
@@ -898,16 +796,11 @@ class FleetSession:
         a session whose configuration differs, and two runs can only
         produce byte-identical journals if they agree here first.
         """
-        if self.federation is not None:
-            # a degenerate federation must journal *exactly* the plain
-            # single-cluster header — source every field from region 0
-            meta_cluster = self.federation.regions[0].cluster
-            meta_link_config = self.federation.regions[0].link.config
-            autoscaler_name = self.federation.regions[0].autoscaler.name
-        else:
-            meta_cluster = self.cluster
-            meta_link_config = self.link.config
-            autoscaler_name = self.autoscaler.name
+        # the flat fields describe region 0: a degenerate federation
+        # journals exactly the single-cluster header
+        region = self.federation.regions[0]
+        meta_cluster = region.cluster
+        meta_link_config = region.link.config
         revocations = None
         if meta_cluster.revocations is not None:
             process = meta_cluster.revocations
@@ -955,7 +848,7 @@ class FleetSession:
             ),
             "revocations": revocations,
             "revocation_mode": meta_cluster.revocation_mode,
-            "autoscaler": autoscaler_name,
+            "autoscaler": region.autoscaler.name,
             "faults": None if self.faults is None else self.faults.fingerprint(),
             "batch_overhead_seconds": self.batch_overhead_seconds,
             "link": {
@@ -967,7 +860,7 @@ class FleetSession:
                 None if self.replay_seed is None else _replay_seed_digest(*self.replay_seed)
             ),
         }
-        if self.federation is not None and not self._degenerate:
+        if not self._degenerate:
             meta["regions"] = [region.describe() for region in self.federation.regions]
             meta["selector"] = self.federation.selector.name
             meta["failover"] = self.federation.failover
@@ -999,165 +892,6 @@ class FleetSession:
         self._ran = True
         if journal is not None:
             journal.begin(self._journal_meta())
-        if self.federation is not None:
-            return self._run_federated(journal)
-        channel = None
-        scheduler = EventScheduler()
-        if self.faults is not None:
-            # reset per run so the verdict stream is a pure function of
-            # the plan's seed, not of any earlier session it served
-            self.faults.reset()
-            channel = ReliableChannel(self.faults)
-            transport: SharedLinkTransport = ReliableTransport(self.link, channel)
-        else:
-            transport = SharedLinkTransport(self.link)
-        # binding creates the GPU workers and resets reused scheduler /
-        # placement instances, so no clocks or deficits leak between fleets
-        cluster = self.cluster.bind(
-            self.cloud,
-            transport,
-            batch_overhead_seconds=self.batch_overhead_seconds,
-        )
-        edge_actors: dict[int, EdgeActor] = {}
-        streams = {}
-        for camera_id, spec in enumerate(self.cameras):
-            actor, stream = self._build_camera(camera_id, spec, cluster, transport)
-            edge_actors[camera_id] = actor
-            streams[camera_id] = iter(stream)
-
-        duration = max(
-            spec.dataset.num_frames / spec.dataset.fps for spec in self.cameras
-        )
-        # the autoscale controller ticks until the last stream ends; the
-        # default NoScaler schedules no ticks at all, so the run is
-        # bit-for-bit (and event-for-event) the fixed-cluster run
-        controller = AutoscaleController(self.autoscaler, cluster, horizon=duration)
-        controller.start(scheduler)
-        # arm the spot-revocation process (no-op without one): scripted
-        # traces schedule verbatim, seeded spot workers draw uptimes
-        cluster.start_revocations(scheduler, horizon=duration)
-        if self.faults is not None:
-            cluster.start_faults(scheduler, self.faults, horizon=duration)
-            # link partitions: cut/heal pairs from the plan's seeded
-            # partition process.  The heal is always scheduled (even past
-            # the nominal horizon — the kernel drains fully), so a run
-            # never ends with the link still down and transfers frozen.
-            for start, end in self.faults.draw_partitions(duration):
-                scheduler.schedule(LinkPartitionEvent(time=start))
-                scheduler.schedule(LinkPartitionEvent(time=end, healed=True))
-        kernel = SessionKernel(
-            scheduler,
-            edge_actors=edge_actors,
-            cloud_actor=cluster,
-            transport=transport,
-            streams=streams,
-            autoscaler=controller,
-            channel=channel,
-            journal=journal,
-        )
-        kernel.run()
-
-        camera_results = []
-        gpu_by_name: dict[str, float] = {}
-        rejections = cluster.rejections_by_camera
-        migrations = cluster.migrations_by_camera
-        for camera_id, spec in enumerate(self.cameras):
-            actor = edge_actors[camera_id]
-            gpu = cluster.gpu_seconds_by_camera.get(camera_id, 0.0)
-            gpu_by_name[spec.name] = gpu
-            camera_results.append(
-                FleetCameraResult(
-                    camera=spec.name,
-                    session=actor.build_result(cloud_gpu_seconds=gpu),
-                    gpu_seconds=gpu,
-                    upload_latencies=list(actor.upload_latencies),
-                    rejected_uploads=rejections.get(camera_id, 0),
-                )
-            )
-        queue_waits = cluster.queue_waits
-        slo = self.autoscaler.slo_seconds
-        violations = (
-            # vectorised count: same comparisons as the generator it
-            # replaces, without a Python-level pass over every job
-            int(np.count_nonzero(np.asarray(queue_waits) > slo)) / len(queue_waits)
-            if slo is not None and queue_waits
-            else 0.0
-        )
-        faulty_link = self.link if isinstance(self.link, FaultySharedLink) else None
-        result = FleetResult(
-            cameras=camera_results,
-            queue_waits=queue_waits,
-            cloud_gpu_seconds=self.cloud.total_gpu_seconds,
-            cloud_busy_seconds=cluster.busy_seconds,
-            duration_seconds=duration,
-            num_labeling_batches=cluster.num_labeling_batches,
-            gpu_seconds_by_camera=gpu_by_name,
-            scheduler=cluster.scheduler_name,
-            training_waits=cluster.training_waits,
-            num_gpus=cluster.num_gpus,
-            placement=cluster.placement_name,
-            gpu_busy_by_worker=cluster.gpu_busy_by_worker,
-            migrations_by_camera={
-                spec.name: migrations.get(camera_id, 0)
-                for camera_id, spec in enumerate(self.cameras)
-            },
-            autoscaler=self.autoscaler.name,
-            scaling_events=list(controller.events),
-            gpu_seconds_provisioned=cluster.provisioned_gpu_seconds(duration),
-            slo_seconds=slo,
-            slo_violation_fraction=violations,
-            worker_specs=list(cluster.worker_specs),
-            dollar_cost=cluster.dollar_cost(duration),
-            gpu_seconds_by_tier=cluster.gpu_seconds_by_tier(duration),
-            revocation_records=list(cluster.revocation_log),
-            num_relabeled_jobs=cluster.num_relabeled_jobs,
-            num_checkpoint_resumed_jobs=cluster.num_checkpoint_resumed_jobs,
-            wasted_gpu_seconds=cluster.wasted_gpu_seconds,
-            fault_plan="none" if self.faults is None else self.faults.describe(),
-            crash_records=list(cluster.crash_log),
-            num_crash_recovered_jobs=cluster.num_crash_recovered_jobs,
-            crash_wasted_gpu_seconds=cluster.crash_wasted_gpu_seconds,
-            num_lost_messages=0 if faulty_link is None else faulty_link.num_lost,
-            num_duplicated_messages=(
-                0 if faulty_link is None else faulty_link.num_duplicated
-            ),
-            num_delayed_messages=0 if faulty_link is None else faulty_link.num_delayed,
-            num_retries=0 if channel is None else channel.num_retries,
-            num_duplicate_drops=0 if channel is None else channel.num_duplicate_drops,
-            num_late_drops=0 if channel is None else channel.num_late_drops,
-            num_messages_sent=0 if channel is None else channel.num_messages_sent,
-            num_messages_delivered=(
-                0 if channel is None else channel.num_messages_delivered
-            ),
-            num_messages_in_flight=0 if channel is None else channel.num_in_flight,
-            sends_by_kind={} if channel is None else dict(channel.sends_by_kind),
-            abandoned_by_kind=(
-                {} if channel is None else dict(channel.abandoned_by_kind)
-            ),
-            batching=cluster.batching_name,
-            num_merged_batches=(
-                0 if cluster.batcher is None else cluster.batcher.num_batches
-            ),
-            num_batched_jobs=(
-                0 if cluster.batcher is None else cluster.batcher.num_batched_jobs
-            ),
-            num_labeled_frames=sum(
-                len(job.batch) for job in cluster.completed_jobs
-            ),
-        )
-        if journal is not None:
-            journal.finish(result.fingerprint())
-        return result
-
-    def _run_federated(self, journal: object | None) -> FleetResult:
-        """Run the multi-region federation (see :mod:`repro.core.federation`).
-
-        A degenerate federation (one region, free WAN, no outages, no
-        replication) mirrors the plain path's scheduling order call for
-        call, so its journal and fingerprint are byte-identical to the
-        single-cluster run — the golden pin that keeps every
-        pre-federation result reproducible through this layer.
-        """
         fed = self.federation
         channel = None
         scheduler = EventScheduler()
@@ -1167,10 +901,8 @@ class FleetSession:
         duration = max(
             spec.dataset.num_frames / spec.dataset.fps for spec in self.cameras
         )
-        fed.horizon = duration
         # binds every region's cluster and starts its autoscale
-        # controller; the first tick (if any) keeps sequence number 0,
-        # exactly as in the plain path
+        # controller; the first tick (if any) takes sequence number 0
         fed.bind(
             self.cloud,
             channel,
@@ -1185,20 +917,24 @@ class FleetSession:
             edge_actors[camera_id] = actor
             streams[camera_id] = iter(stream)
         for region in fed.regions:
-            # no revocation process under federation (rejected at
-            # construction) — this only hands the cluster its scheduler
+            # arm each region's spot-revocation process (no-op without
+            # one): scripted traces schedule verbatim, seeded spot
+            # workers draw uptimes
             region.cluster.start_revocations(scheduler, horizon=duration)
         if self.faults is not None:
             # ONE global crash process — the federation routes each draw
-            # to the owning region so a single-region run schedules the
-            # identical event sequence the plain path would
+            # to the owning region
             for region in fed.regions:
                 region.cluster.arm_faults(self.faults)
             for time, draw in self.faults.draw_crash_times(duration):
                 scheduler.schedule(WorkerCrashEvent(time=time, victim_draw=draw))
+            # link partitions: cut/heal pairs per region.  Heals are
+            # always scheduled (the kernel drains fully), so no run ends
+            # with a link still down and transfers frozen
             if fed.num_regions == 1:
-                # legacy stream + default camera tag: byte-identical
-                # journal records for the degenerate pin
+                # compatibility shim: one region draws the pre-federation
+                # partition stream with the default camera tag, which the
+                # exactness pin and the chaos fingerprints depend on
                 for start, end in self.faults.draw_partitions(duration):
                     scheduler.schedule(LinkPartitionEvent(time=start))
                     scheduler.schedule(LinkPartitionEvent(time=end, healed=True))
@@ -1241,7 +977,7 @@ class FleetSession:
         )
         kernel.run()
 
-        clusters = [region.cluster for region in fed.regions]
+        clusters = fed.clusters
         rejections: dict[int, int] = {}
         migrations: dict[int, int] = {}
         for cluster in clusters:
@@ -1274,10 +1010,7 @@ class FleetSession:
         )
         autoscaler_names = {region.autoscaler.name for region in fed.regions}
         scaling_events = [
-            event
-            for region in fed.regions
-            if region.controller is not None
-            for event in region.controller.events
+            event for region in fed.regions for event in region.controller.events
         ]
         scaling_events.sort(key=lambda event: event.time)
         gpu_by_tier: dict[str, float] = {}
@@ -1292,8 +1025,7 @@ class FleetSession:
         region_fields: dict = {}
         if not self._degenerate:
             # region telemetry gates the fingerprint's extra block, so a
-            # degenerate run (empty here) fingerprints exactly like the
-            # plain path
+            # degenerate run (empty here) fingerprints as a lone cluster
             region_fields = {
                 "region_metrics": fed.region_metrics(duration),
                 "region_selector": fed.selector.name,
@@ -1336,14 +1068,20 @@ class FleetSession:
             worker_specs=[spec for c in clusters for spec in c.worker_specs],
             dollar_cost=fed.compute_dollar_cost(duration) + fed.wan_dollar_cost(),
             gpu_seconds_by_tier=gpu_by_tier,
-            revocation_records=[rec for c in clusters for rec in c.revocation_log],
+            # stable sorts: one timeline, same-instant records in region order
+            revocation_records=sorted(
+                (rec for c in clusters for rec in c.revocation_log),
+                key=attrgetter("time"),
+            ),
             num_relabeled_jobs=sum(c.num_relabeled_jobs for c in clusters),
             num_checkpoint_resumed_jobs=sum(
                 c.num_checkpoint_resumed_jobs for c in clusters
             ),
             wasted_gpu_seconds=sum(c.wasted_gpu_seconds for c in clusters),
             fault_plan="none" if self.faults is None else self.faults.describe(),
-            crash_records=[rec for c in clusters for rec in c.crash_log],
+            crash_records=sorted(
+                (rec for c in clusters for rec in c.crash_log), key=attrgetter("time")
+            ),
             num_crash_recovered_jobs=sum(
                 c.num_crash_recovered_jobs for c in clusters
             ),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from repro.core.autoscaling import AutoscalePolicy
 from repro.core.batching import BatchPolicy, FleetBatcher
-from repro.core.cluster import CloudCluster, RevocationProcess, SchedulerSpec
+from repro.core.cluster import RevocationProcess, SchedulerSpec
 from repro.core.config import ShoggothConfig
 from repro.core.faults import FaultPlan
 from repro.core.federation import RegionSelector, RegionSpec
@@ -368,7 +368,6 @@ def run_fleet(
     scheduler: SchedulerSpec = None,
     num_gpus: int = 1,
     placement: PlacementPolicy | str | None = None,
-    cluster: CloudCluster | None = None,
     autoscaler: AutoscalePolicy | str | None = None,
     worker_specs: WorkerSpec | list[WorkerSpec] | None = None,
     revocations: RevocationProcess | None = None,
@@ -391,7 +390,7 @@ def run_fleet(
     shared is the ``scheduler`` policy (FIFO merged-batch by default;
     see :mod:`repro.core.scheduling`), which
     ``benchmarks/bench_scheduler_policies.py`` compares; ``num_gpus``
-    and ``placement`` — or a ready ``cluster`` — shard the cloud into a
+    and ``placement`` shard the cloud into a
     :class:`~repro.core.cluster.CloudCluster`, which
     ``benchmarks/bench_cloud_sharding.py`` scales; ``autoscaler``
     (``"none"`` default, ``"slo"``, ``"step"`` or a policy instance)
@@ -410,7 +409,8 @@ def run_fleet(
     :class:`~repro.core.batching.FleetBatcher`) coalesces labeling
     jobs into cluster-wide teacher batches, which
     ``benchmarks/bench_serving_throughput.py`` measures; ``regions``
-    (a list of :class:`~repro.core.federation.RegionSpec`, plus
+    (a list of :class:`~repro.core.federation.RegionSpec`, each
+    carrying its own per-cluster arguments, plus
     ``region_selector`` / ``region_outages`` /
     ``replication_interval_seconds`` / ``failover``) federates the
     cloud across WAN-profiled regions with cross-region failover,
@@ -444,7 +444,6 @@ def run_fleet(
         scheduler=scheduler,
         num_gpus=num_gpus,
         placement=placement,
-        cluster=cluster,
         autoscaler=autoscaler,
         worker_specs=worker_specs,
         revocations=revocations,

@@ -21,7 +21,6 @@ __all__ = [
     "SharedLink",
     "LinkTransfer",
     "WanProfile",
-    "RegionLink",
 ]
 
 
@@ -257,6 +256,14 @@ class SharedLink:
     transfers, and every transfer additionally pays half the RTT as
     propagation.  With one transfer at a time this reduces to
     :class:`NetworkLink` timings.
+
+    The link also meters the bytes it carries, for WAN egress billing.
+    Every send attempt — retransmissions included, since they really
+    re-cross the link — is counted when it begins, *before* a
+    :class:`~repro.core.faults.FaultySharedLink` draws its fault
+    verdict, so a message the link loses is still billed.  Replicated
+    model weights bypass the pipes (they flow region to region) and are
+    added via :meth:`add_replication_bytes`.
     """
 
     def __init__(self, config: LinkConfig | None = None) -> None:
@@ -265,6 +272,9 @@ class SharedLink:
         self._up = _SharedPipe(self.config.uplink_kbps * 1000.0, half_rtt)
         self._down = _SharedPipe(self.config.downlink_kbps * 1000.0, half_rtt)
         self._ids = itertools.count()
+        self.bytes_up = 0.0
+        self.bytes_down = 0.0
+        self.replication_bytes = 0.0
 
     # -- starting transfers -----------------------------------------------
     def begin_uplink(
@@ -276,6 +286,7 @@ class SharedLink:
         message_id: int = -1,
         sent_at: float | None = None,
     ) -> LinkTransfer:
+        self.bytes_up += float(message.size_bytes())
         return self._begin(
             self._up, "up", message, now, camera_id, payload, message_id, sent_at
         )
@@ -289,6 +300,7 @@ class SharedLink:
         message_id: int = -1,
         sent_at: float | None = None,
     ) -> LinkTransfer:
+        self.bytes_down += float(message.size_bytes())
         return self._begin(
             self._down, "down", message, now, camera_id, payload, message_id, sent_at
         )
@@ -355,6 +367,16 @@ class SharedLink:
         """True while :meth:`begin_partition` has the link down."""
         return self._up._paused or self._down._paused
 
+    # -- byte metering -------------------------------------------------------
+    def add_replication_bytes(self, num_bytes: float) -> None:
+        """Bill cross-region model-replication traffic to this link."""
+        self.replication_bytes += float(num_bytes)
+
+    @property
+    def wan_bytes(self) -> float:
+        """Total bytes billed to this link (sends + replication)."""
+        return self.bytes_up + self.bytes_down + self.replication_bytes
+
     # -- introspection -------------------------------------------------------
     @property
     def active_uplinks(self) -> int:
@@ -363,70 +385,3 @@ class SharedLink:
     @property
     def active_downlinks(self) -> int:
         return self._down.active_count
-
-
-class _WanAccounting:
-    """Mixin counting bytes per send attempt for WAN egress billing.
-
-    Every :meth:`SharedLink._begin` call — including retransmissions,
-    which genuinely re-cross the WAN — adds the message's size to the
-    direction's byte counter *before* any fault verdict is drawn, so a
-    message the WAN loses is still billed (the sender transmitted it).
-    Replicated model weights bypass the pipes (they flow region-to-
-    region, not edge-to-cloud) and are added via
-    :meth:`add_replication_bytes`.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.bytes_up = 0.0
-        self.bytes_down = 0.0
-        self.replication_bytes = 0.0
-
-    def _begin(
-        self,
-        pipe: _SharedPipe,
-        direction: str,
-        message: Message,
-        now: float,
-        camera_id: int,
-        payload: Any,
-        message_id: int = -1,
-        sent_at: float | None = None,
-    ) -> LinkTransfer:
-        size = float(message.size_bytes())
-        if direction == "up":
-            self.bytes_up += size
-        else:
-            self.bytes_down += size
-        return super()._begin(
-            pipe, direction, message, now, camera_id, payload, message_id, sent_at
-        )
-
-    def add_replication_bytes(self, num_bytes: float) -> None:
-        """Bill cross-region model-replication traffic to this WAN."""
-        self.replication_bytes += float(num_bytes)
-
-    @property
-    def wan_bytes(self) -> float:
-        """Total bytes billed to this WAN (sends + replication)."""
-        return self.bytes_up + self.bytes_down + self.replication_bytes
-
-    def wan_dollar_cost(self) -> float:
-        """Dollar cost of every byte billed to this WAN so far."""
-        return self.wan_bytes / 1e9 * self.profile.cost_per_gb
-
-
-class RegionLink(_WanAccounting, SharedLink):
-    """A region's WAN-profiled shared link with egress-byte accounting.
-
-    Same processor-sharing wire model as :class:`SharedLink`; adds the
-    region's :class:`WanProfile` (for pricing) and per-direction byte
-    counters so the federation can close its dollar-cost accounting.
-    """
-
-    profile: WanProfile
-
-    def __init__(self, profile: WanProfile | None = None) -> None:
-        self.profile = profile or WanProfile()
-        super().__init__(self.profile.link_config())

@@ -208,9 +208,10 @@ class RevocationEvent(Event):
 class WorkerCrashEvent(Event):
     """A GPU worker crashes mid-handler right now (fault injection).
 
-    Scheduled by :meth:`~repro.core.cluster.CloudCluster.start_faults`
-    from the :class:`~repro.core.faults.FaultPlan`'s seeded crash
-    process and handled by
+    Scheduled by the fleet session from the
+    :class:`~repro.core.faults.FaultPlan`'s seeded crash process, routed
+    to the owning region by
+    :meth:`~repro.core.federation.Federation.on_crash` and handled by
     :meth:`~repro.core.cluster.CloudCluster.on_crash`: the victim's
     in-flight busy period is killed mid-service, its jobs are re-placed
     on the survivors, and the supervisor restarts a replacement worker

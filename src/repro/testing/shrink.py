@@ -96,12 +96,12 @@ def check_invariants(session, result) -> str | None:
     Returns ``None`` when every invariant holds, else a short stable
     failure signature naming the first broken law — the same laws the
     chaos suite asserts (message conservation, upload conservation,
-    exactly-once completion, crash supervision, capacity conservation,
-    never-reused worker ids, and — for federated sessions — dollar-cost
-    closure across compute and WAN egress), packaged so the shrinker
-    and the regression replayer agree exactly on what "fails" means.
-    Per-cluster laws run over ``session.clusters`` (one entry for a
-    plain session, one per region for a federated one).
+    exactly-once completion, crash and revocation supervision,
+    capacity conservation and its per-tier split, never-reused worker
+    ids, and dollar-cost closure across compute and WAN egress),
+    packaged so the shrinker and the regression replayer agree exactly
+    on what "fails" means.  Per-cluster laws run over
+    ``session.clusters`` (one entry per region).
     """
     if result.num_messages_in_flight != 0:
         return "messages_outstanding"
@@ -136,6 +136,14 @@ def check_invariants(session, result) -> str | None:
         record.jobs_in_flight for record in result.crash_records
     ):
         return "crash_counter"
+    if result.num_relabeled_jobs + result.num_checkpoint_resumed_jobs != sum(
+        record.jobs_in_flight for record in result.revocation_records
+    ):
+        return "revocation_counter"
+    capacity = result.gpu_seconds_provisioned
+    tiers = sum(result.gpu_seconds_by_tier.values())
+    if abs(tiers - capacity) > 1e-6 * max(1.0, capacity):
+        return "tier_split"
     for cluster in session.clusters:
         crash_times = [record.time for record in cluster.crash_log]
         if crash_times != sorted(crash_times):
@@ -159,13 +167,12 @@ def check_invariants(session, result) -> str | None:
         ids = [worker.worker_id for worker in cluster.workers]
         if ids != list(range(len(cluster.workers))):
             return "worker_id_reuse"
-    if getattr(session, "federation", None) is not None:
-        federation = session.federation
-        expected = federation.compute_dollar_cost(
-            result.duration_seconds
-        ) + federation.wan_dollar_cost()
-        if abs(result.dollar_cost - expected) > 1e-6 * max(1.0, expected):
-            return "cost_closure"
+    federation = session.federation
+    expected = federation.compute_dollar_cost(
+        result.duration_seconds
+    ) + federation.wan_dollar_cost()
+    if abs(result.dollar_cost - expected) > 1e-6 * max(1.0, expected):
+        return "cost_closure"
     return None
 
 

@@ -411,7 +411,7 @@ class TestClusterSurgery:
         with pytest.raises(ValueError, match="cannot add workers"):
             FleetSession(
                 cameras, student=student, teacher=teacher, config=small_config(),
-                cluster=CloudCluster(num_gpus=1, scheduler=FifoScheduler()),
+                num_gpus=1, scheduler=FifoScheduler(),
                 autoscaler=SloScaler(max_gpus=4),
             )
         # a min_gpus floor above the starting size would silently never
@@ -425,12 +425,12 @@ class TestClusterSurgery:
         # the default NoScaler (the PR 3 golden pin relies on it)
         FleetSession(
             cameras, student=student, teacher=teacher, config=small_config(),
-            cluster=CloudCluster(num_gpus=2, scheduler=lambda: FifoScheduler()),
+            num_gpus=2, scheduler=lambda: FifoScheduler(),
             autoscaler=SloScaler(min_gpus=1, max_gpus=2),
         )
         FleetSession(
             cameras, student=student, teacher=teacher, config=small_config(),
-            cluster=CloudCluster(num_gpus=1, scheduler=FifoScheduler()),
+            num_gpus=1, scheduler=FifoScheduler(),
         )
 
     def test_utilization_carries_over_long_busy_periods(self):
@@ -713,13 +713,13 @@ class TestElasticFleetEndToEnd:
         assert len(result.queue_waits) == sent
 
     def test_conflicting_cluster_and_autoscaler_is_allowed(self):
-        """The autoscaler knob is orthogonal to bring-your-own-cluster."""
+        """The autoscaler knob is orthogonal to the cluster shape knobs."""
         session = FleetSession(
             burst_cameras(frames=120),
             student=StudentDetector(StudentConfig(seed=5)),
             teacher=TeacherDetector(TeacherConfig(seed=9)),
             config=small_config(),
-            cluster=CloudCluster(num_gpus=2),
+            num_gpus=2,
             autoscaler=NoScaler(),
         )
         result = session.run()

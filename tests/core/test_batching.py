@@ -443,8 +443,8 @@ class TestBatchedDeterminism:
         report = first.replay(build)
         assert not report.halted and report.events_checked == first.num_events
 
-    def test_batching_knob_is_incompatible_with_a_ready_cluster(self):
-        from repro.core.cluster import CloudCluster
+    def test_batching_knob_is_incompatible_with_regions(self):
+        from repro.core.federation import RegionSpec
 
         with pytest.raises(ValueError, match="batching"):
-            make_mixed_fleet(cluster=CloudCluster(num_gpus=2), batching="greedy")
+            make_mixed_fleet(regions=[RegionSpec(name="a")], batching="greedy")

@@ -2,11 +2,12 @@
 
 The contract under test, in order of importance:
 
-* **golden pin** — ``regions=None`` is untouched by the federation
-  layer, and a *degenerate* federation (one region, free WAN, no
-  outages, no replication) reproduces the plain single-cluster run
-  **bit-for-bit**: same :meth:`~repro.core.fleet.FleetResult.fingerprint`,
-  byte-identical journal — with and without chaos;
+* **golden pin** — ``regions=None`` builds a one-region federation
+  from the per-cluster arguments, and that *degenerate* federation
+  (one region, free WAN, no outages, no replication) is the same run
+  as an explicit one-region ``RegionSpec`` **bit-for-bit**: same
+  :meth:`~repro.core.fleet.FleetResult.fingerprint`, byte-identical
+  journal, no region block — with and without chaos;
 * **region selection** — each :class:`~repro.core.federation.RegionSelector`
   homes cameras by its objective, above the per-cluster placement;
 * **cross-region failover** — a scripted
@@ -411,3 +412,48 @@ def test_federation_validation_errors():
     with pytest.raises(ValueError):
         # outage interval must be ordered
         build_fleet(regions=two_regions(), region_outages=[(2.0, 1.0, 0)])
+
+
+def test_every_region_fails_fast_on_a_cluster_it_cannot_grow():
+    """Each region runs the construction checks a lone cluster does."""
+    from repro.core.autoscaling import SloScaler
+    from repro.core.scheduling import FifoScheduler
+
+    growing = SloScaler(slo_seconds=0.01, interval_seconds=0.5)
+    with pytest.raises(ValueError, match="cannot add workers"):
+        build_fleet(
+            n_cameras=8,
+            regions=[
+                RegionSpec(name="ok"),
+                RegionSpec(name="fixed", scheduler=FifoScheduler(), autoscaler=growing),
+            ],
+        )
+    with pytest.raises(ValueError, match="set num_gpus >= min_gpus"):
+        build_fleet(
+            regions=[RegionSpec(name="a", num_gpus=1, autoscaler=SloScaler(min_gpus=3))]
+        )
+
+
+def test_crash_records_are_in_time_order_across_regions():
+    """Records from every region merge into one timeline, stably."""
+    plan = FaultPlan(
+        seed=15,
+        loss_rate=0.05,
+        retry_timeout_seconds=0.6,
+        max_attempts=3,
+        mean_time_between_crashes=1.5,
+    )
+    session = build_fleet(
+        n_cameras=6,
+        num_frames=180,
+        regions=two_regions(num_gpus=2),
+        region_selector="least_loaded",
+        faults=plan,
+    )
+    result = session.run()
+    per_region = [
+        record.time for cluster in session.clusters for record in cluster.crash_log
+    ]
+    assert per_region != sorted(per_region), "crashes hit only one region"
+    times = [record.time for record in result.crash_records]
+    assert times == sorted(per_region)

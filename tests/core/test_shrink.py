@@ -12,13 +12,20 @@ failure genuinely needs — the same way on every run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.faults import PLANTED_BUGS
 from repro.runtime.journal import canonical_dumps
-from repro.testing import ChaosShrinker, chaos_scenario, run_scenario
+from repro.testing import (
+    ChaosShrinker,
+    chaos_scenario,
+    check_invariants,
+    run_scenario,
+    session_from_scenario,
+)
 from repro.testing.shrink import main, planted, write_fixture
 
 #: a seed whose chaos draw fails under the planted dedup bug (its plan
@@ -51,6 +58,33 @@ def test_seed_probes_pin_the_test_vocabulary():
     assert run_scenario(passing, "dedup_off")[0] is None
     # and without the planted bug the hostile scenario is healthy too
     assert run_scenario(hostile_scenario())[0] is None
+
+
+@pytest.fixture(scope="module")
+def clean_run():
+    """One short chaos run that passes every law (for doctoring)."""
+    scenario = chaos_scenario(PASSING_SEED, partitions=True, autoscaler=True)
+    scenario["n_cameras"], scenario["num_frames"] = 2, 40
+    session = session_from_scenario(scenario)
+    result = session.run()
+    assert check_invariants(session, result) is None
+    return session, result
+
+
+def test_oracle_ties_recovery_counters_to_the_revocation_log(clean_run):
+    session, result = clean_run
+    doctored = dataclasses.replace(
+        result, num_relabeled_jobs=result.num_relabeled_jobs + 1
+    )
+    assert check_invariants(session, doctored) == "revocation_counter"
+
+
+def test_oracle_checks_the_per_tier_capacity_split(clean_run):
+    session, result = clean_run
+    doctored = dataclasses.replace(
+        result, gpu_seconds_by_tier={"on_demand": result.gpu_seconds_provisioned + 1.0}
+    )
+    assert check_invariants(session, doctored) == "tier_split"
 
 
 def test_passing_config_reports_no_failure_found():

@@ -14,16 +14,23 @@ Four layers:
 * end-to-end fleets with scripted traces: no upload loses its labels
   across a revocation, cost accounting splits by tier, and the
   spot-preferring :class:`SloScaler` provisions preemptible capacity;
-* fail-fast validation of the new constructor knobs.
+* fail-fast validation of the new constructor knobs;
+* spot under a federation: the one-region spot pin (the default fleet
+  is a one-region federation, so the per-cluster arguments and an
+  explicit ``RegionSpec`` must journal the same bytes, pinned to the
+  pre-federation digests) and revocations routed to their own region.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.core import CameraSpec, CloudCluster, FleetSession
+from repro.core import CameraSpec, CloudCluster, FaultPlan, FleetSession
 from repro.core.autoscaling import SloScaler
 from repro.core.cluster import REVOCATION_MODES, RevocationProcess
+from repro.core.federation import Federation, RegionSpec
 from repro.core.scheduling import (
     LABELING,
     TRAINING,
@@ -35,6 +42,8 @@ from repro.core.scheduling import (
 )
 from repro.detection import StudentConfig, StudentDetector, TeacherConfig, TeacherDetector
 from repro.runtime.events import EventScheduler, LabelingDone, RevocationEvent
+from repro.runtime.journal import EventJournal
+from repro.testing import check_invariants
 from repro.video import build_dataset
 
 from test_scheduling import make_mixed_fleet, small_config
@@ -226,37 +235,44 @@ class TestClusterSpecConstruction:
                 student=StudentDetector(StudentConfig(seed=5)),
                 teacher=TeacherDetector(TeacherConfig(seed=9)),
                 config=small_config(),
-                cluster=CloudCluster(
-                    num_gpus=1,
-                    scheduler=FifoScheduler(),
-                    worker_specs=SPOT,
-                    revocations=RevocationProcess(mean_uptime_seconds=5.0),
-                ),
+                num_gpus=1,
+                scheduler=FifoScheduler(),
+                worker_specs=SPOT,
+                revocations=RevocationProcess(mean_uptime_seconds=5.0),
             )
 
-    def test_cluster_knobs_conflict_with_ready_cluster(self):
+    def test_cluster_knobs_conflict_with_regions(self):
         cameras = [CameraSpec("a", build_dataset("detrac", num_frames=120))]
         student = StudentDetector(StudentConfig(seed=5))
         teacher = TeacherDetector(TeacherConfig(seed=9))
-        with pytest.raises(ValueError, match="not both"):
-            FleetSession(
-                cameras, student=student, teacher=teacher,
-                cluster=CloudCluster(num_gpus=2), worker_specs=SPOT,
-            )
-        # revocation_mode is a cluster knob too: silently ignoring it
-        # next to a ready cluster would skew recovery comparisons
-        with pytest.raises(ValueError, match="not both"):
-            FleetSession(
-                cameras, student=student, teacher=teacher,
-                cluster=CloudCluster(num_gpus=2), revocation_mode="checkpoint",
-            )
+        # spot knobs live on each RegionSpec under a federation:
+        # silently ignoring a fleet-level one would skew comparisons
+        for knobs in (
+            {"worker_specs": SPOT},
+            {"revocations": RevocationProcess(mean_uptime_seconds=5.0)},
+            {"revocation_mode": "checkpoint"},
+        ):
+            with pytest.raises(ValueError, match="live on each RegionSpec"):
+                FleetSession(
+                    cameras, student=student, teacher=teacher,
+                    regions=[RegionSpec(name="a")], **knobs,
+                )
+
+    def test_one_revocation_process_serves_one_region(self):
+        process = RevocationProcess(mean_uptime_seconds=5.0)
+        with pytest.raises(ValueError, match="one region"):
+            Federation([
+                RegionSpec(name="a", worker_specs=SPOT, revocations=process),
+                RegionSpec(name="b", worker_specs=SPOT, revocations=process),
+            ])
 
 
 # ---------------------------------------------------------------------------
 # revocation edge cases (cluster surgery on a finished fleet)
 # ---------------------------------------------------------------------------
-def spot_fleet_session(worker_specs, revocations=None, revocation_mode="relabel",
-                       placement="least_loaded", n_cameras=4, num_frames=240):
+def spot_fleet_session(worker_specs=None, revocations=None,
+                       revocation_mode="relabel", placement="least_loaded",
+                       n_cameras=4, num_frames=240, **fleet_kwargs):
     datasets = ["detrac", "kitti", "waymo", "stationary"]
     strategies = ["shoggoth", "ams", "shoggoth", "shoggoth"]
     cameras = [
@@ -277,6 +293,7 @@ def spot_fleet_session(worker_specs, revocations=None, revocation_mode="relabel"
         revocations=revocations,
         revocation_mode=revocation_mode,
         placement=placement,
+        **fleet_kwargs,
     )
 
 
@@ -683,3 +700,87 @@ class TestSpotGoldenCollapse:
         }
         # default rate 1.0: dollars == provisioned GPU-seconds
         assert result.dollar_cost == pytest.approx(result.gpu_seconds_provisioned)
+
+
+# ---------------------------------------------------------------------------
+# spot under a federation
+# ---------------------------------------------------------------------------
+#: (fingerprint, journal sha256) of the traced spot fleet below, recorded
+#: before the federation layer existed; the one-region federation must
+#: reproduce them bit for bit
+SPOT_PIN = {
+    "relabel": (
+        "5fa84c060b245bbaba5876c02688f85b68ba96ed82a5ec092e93d995bd8c121d",
+        "8f1d865445063dee1a595a8e3a4420d92a816fd82289e518b665df5f3e5a09b2",
+    ),
+    "checkpoint": (
+        "2a225fcdc5222c1771f3857c2e00d2e9bef66c6e2ef4e58fa2b144e5ace7af2b",
+        "0b534856d23f93e80e082ff0e23e99fdf376c489be98114f24dd3d6a73e64dec",
+    ),
+}
+
+
+class TestSpotUnderFederation:
+    TRACE = [(2.5, 1), (4.5, 2)]
+
+    @pytest.mark.parametrize("mode", REVOCATION_MODES)
+    def test_one_region_spot_pin(self, mode):
+        """``regions=None`` and an explicit one-region ``RegionSpec``
+        are the same run: same journal bytes, same fingerprint — and
+        both match the pre-federation digests."""
+        specs = [ON_DEMAND, SPOT, SPOT]
+        plain_journal, region_journal = EventJournal(), EventJournal()
+        plain = spot_fleet_session(
+            specs,
+            revocations=RevocationProcess(trace=self.TRACE),
+            revocation_mode=mode,
+        ).run(journal=plain_journal)
+        one_region = spot_fleet_session(
+            placement=None,
+            regions=[
+                RegionSpec(
+                    name="solo",
+                    worker_specs=specs,
+                    placement="least_loaded",
+                    revocations=RevocationProcess(trace=self.TRACE),
+                    revocation_mode=mode,
+                )
+            ],
+        ).run(journal=region_journal)
+        assert plain_journal.serialize() == region_journal.serialize()
+        assert plain.fingerprint() == one_region.fingerprint()
+        # one revocation killed in-flight work, recovered per the mode
+        assert [r.jobs_in_flight for r in plain.revocation_records] == [0, 1]
+        digest = hashlib.sha256(plain_journal.serialize()).hexdigest()
+        assert (plain.fingerprint(), digest) == SPOT_PIN[mode]
+
+    def test_revocation_routes_to_its_own_region(self):
+        """A trace in region 1 revokes region 1's spot worker only."""
+        session = spot_fleet_session(
+            placement=None,
+            regions=[
+                RegionSpec(name="near", worker_specs=[ON_DEMAND, SPOT]),
+                RegionSpec(
+                    name="far",
+                    worker_specs=[ON_DEMAND, SPOT],
+                    revocations=RevocationProcess(trace=[(2.5, 1)]),
+                ),
+            ],
+            region_selector="least_loaded",
+            faults=FaultPlan(seed=3, loss_rate=0.05, retry_timeout_seconds=0.6),
+        )
+        result = session.run()
+        near, far = session.federation.regions
+        assert near.cluster.revocation_log == []
+        assert [r.worker_id for r in far.cluster.revocation_log] == [1]
+        assert result.revocation_records == far.cluster.revocation_log
+        assert not near.cluster.workers[1].revoked
+        assert far.cluster.workers[1].revoked
+        sent = result.sends_by_kind["upload"]
+        assert (
+            len(result.queue_waits)
+            + result.num_rejected_uploads
+            + result.num_abandoned_uploads
+            == sent
+        )
+        assert check_invariants(session, result) is None
