@@ -43,6 +43,7 @@ from repro.runtime.journal import (
     canonical_dumps,
     stable_digest,
 )
+from repro.testing.invariants import check_invariants
 from repro.testing.scenarios import (
     MIN_FRAMES,
     chaos_scenario,
@@ -88,92 +89,6 @@ def planted(flag: str | None) -> Iterator[None]:
         yield
     finally:
         PLANTED_BUGS.discard(flag)
-
-
-def check_invariants(session, result) -> str | None:
-    """The fleet's conservation laws as a failure oracle.
-
-    Returns ``None`` when every invariant holds, else a short stable
-    failure signature naming the first broken law — the same laws the
-    chaos suite asserts (message conservation, upload conservation,
-    exactly-once completion, crash and revocation supervision,
-    capacity conservation and its per-tier split, never-reused worker
-    ids, and dollar-cost closure across compute and WAN egress),
-    packaged so the shrinker and the regression replayer agree exactly
-    on what "fails" means.  Per-cluster laws run over
-    ``session.clusters`` (one entry per region).
-    """
-    if result.num_messages_in_flight != 0:
-        return "messages_outstanding"
-    if (
-        result.num_messages_delivered + result.num_abandoned_messages
-        != result.num_messages_sent
-    ):
-        return "message_conservation"
-    for kind, abandoned in result.abandoned_by_kind.items():
-        if not 0 <= abandoned <= result.sends_by_kind[kind]:
-            return "abandoned_out_of_range"
-    sent_uploads = result.sends_by_kind["upload"]
-    labeled = len(result.queue_waits)
-    if (
-        labeled + result.num_rejected_uploads + result.num_abandoned_uploads
-        != sent_uploads
-    ):
-        return "upload_conservation"
-    if not 0.0 <= result.label_loss_fraction <= 1.0:
-        return "label_loss_fraction"
-    completed = [
-        job
-        for cluster in session.clusters
-        for worker in cluster.workers
-        for job in worker.completed_jobs
-    ]
-    if len({id(job) for job in completed}) != len(completed):
-        return "duplicate_completion"
-    if any(job.wait_seconds < -1e-9 for job in completed):
-        return "negative_queue_delay"
-    if result.num_crash_recovered_jobs != sum(
-        record.jobs_in_flight for record in result.crash_records
-    ):
-        return "crash_counter"
-    if result.num_relabeled_jobs + result.num_checkpoint_resumed_jobs != sum(
-        record.jobs_in_flight for record in result.revocation_records
-    ):
-        return "revocation_counter"
-    capacity = result.gpu_seconds_provisioned
-    tiers = sum(result.gpu_seconds_by_tier.values())
-    if abs(tiers - capacity) > 1e-6 * max(1.0, capacity):
-        return "tier_split"
-    for cluster in session.clusters:
-        crash_times = [record.time for record in cluster.crash_log]
-        if crash_times != sorted(crash_times):
-            return "crash_log_order"
-        for record in cluster.crash_log:
-            victim = cluster.workers[record.worker_id]
-            if not (victim.crashed and victim.draining):
-                return "crash_victim_state"
-            if abs(victim.retired_at - record.time) > 1e-9:
-                return "crash_billing"
-            if record.replacement_id is not None:
-                if cluster.workers[record.replacement_id].spec != victim.spec:
-                    return "crash_replacement_spec"
-            if record.jobs_in_flight < 0 or record.jobs_queued < 0:
-                return "crash_negative_jobs"
-        for worker in cluster.workers:
-            horizon = max(result.duration_seconds, worker.busy_until)
-            provisioned = cluster.worker_provisioned_seconds(worker, horizon)
-            if worker.busy_seconds > provisioned + 1e-6:
-                return "capacity_conservation"
-        ids = [worker.worker_id for worker in cluster.workers]
-        if ids != list(range(len(cluster.workers))):
-            return "worker_id_reuse"
-    federation = session.federation
-    expected = federation.compute_dollar_cost(
-        result.duration_seconds
-    ) + federation.wan_dollar_cost()
-    if abs(result.dollar_cost - expected) > 1e-6 * max(1.0, expected):
-        return "cost_closure"
-    return None
 
 
 def run_scenario(

@@ -44,6 +44,7 @@ from repro.core.scheduling import (
 )
 from repro.runtime.events import BatchTimeout, EventScheduler
 from repro.runtime.journal import EventJournal
+from repro.testing import check_invariants
 
 from test_scheduling import PR1_GOLDEN, make_mixed_fleet
 
@@ -390,17 +391,9 @@ class TestBatchedFleetConservation:
         result = session.run()
         assert result.batching == policy
         # faults-off conservation: every camera upload was labeled (or
-        # explicitly rejected), none stranded in a forming batch
-        sent = sum(entry.session.num_uploads for entry in result.cameras)
-        labeled = len(result.queue_waits)
-        assert labeled + result.num_rejected_uploads == sent
-        # exactly-once: no job appears in two workers' completion logs
-        completed = [
-            item
-            for worker in session.cluster.workers
-            for item in worker.completed_jobs
-        ]
-        assert len({id(item) for item in completed}) == len(completed)
+        # explicitly rejected), none stranded in a forming batch, and no
+        # job appears in two workers' completion logs
+        assert check_invariants(session, result) is None
         assert result.num_batched_jobs >= result.num_merged_batches > 0
         assert result.num_labeled_frames > 0
         assert result.labels_per_busy_second > 0

@@ -2,29 +2,21 @@
 
 Each case runs a fleet under one seeded :class:`FaultPlan` — lossy /
 duplicating / delaying link, edge retry-with-backoff, cloud-side dedup,
-Poisson worker crashes with supervised recovery — and asserts the
-invariants that must hold *whatever* the faults do:
-
-* **message conservation** — every distinct reliable message ends in
-  exactly one of delivered / abandoned, nothing is still outstanding
-  after the run drains, and duplicate or late deliveries are dropped
-  and counted, never double-handled;
-* **upload conservation** — distinct uploads sent == labeled + rejected
-  + abandoned: faults may *lose* work (accounted as abandoned) but can
-  never duplicate it or leave it untracked;
-* **crash supervision** — every crash retires its victim at the crash
-  instant, restarts a same-spec replacement, re-places the in-flight
-  and queued jobs, and the crash counters agree with the crash log
-  (and stay zero when nothing crashed);
-* **capacity conservation** — the faults-era cluster still never bills
-  less than it works: busy <= provisioned per worker.
+Poisson worker crashes with supervised recovery — and checks it with
+the one invariant oracle, :func:`repro.testing.invariants.
+check_invariants`: message and upload conservation, exactly-once
+labeling, crash supervision, capacity conservation and the rest hold
+*whatever* the faults do.  The same window runs over three axis sets:
+the plain plan; partitions × autoscaler; and partitions × autoscaler ×
+2–3 WAN-profiled regions with region outages.
 
 The seed window rotates: ``REPRO_CHAOS_SEEDS`` sets how many plans run
 (default 20; CI's nightly sweep widens it) and
 ``REPRO_CHAOS_SEED_OFFSET`` shifts the window (CI passes the run number
-so successive nightlies explore fresh seeds).  Every case prints its
-full plan in assertion messages, so a failing seed is replayable
-locally with ``REPRO_CHAOS_SEED_OFFSET=<seed> REPRO_CHAOS_SEEDS=1``.
+so successive nightlies explore fresh seeds).  Every failure names the
+broken law, the plan and the shrinker command that minimises it; the
+seed replays locally with
+``REPRO_CHAOS_SEED_OFFSET=<seed> REPRO_CHAOS_SEEDS=1``.
 """
 
 from __future__ import annotations
@@ -37,6 +29,7 @@ from repro.core import FaultPlan
 from repro.core.faults import ReliableChannel
 from repro.runtime.events import EventScheduler, RetryTimer
 from repro.runtime.journal import EventJournal
+from repro.testing import check_invariants
 from repro.testing.scenarios import chaos_scenario, session_from_scenario
 
 NUM_PLANS = int(os.environ.get("REPRO_CHAOS_SEEDS", "20"))
@@ -44,143 +37,34 @@ SEED_OFFSET = int(os.environ.get("REPRO_CHAOS_SEED_OFFSET", "0"))
 SEEDS = [SEED_OFFSET + index for index in range(NUM_PLANS)]
 
 
-def run_chaos(seed: int):
-    """Build and run one chaos fleet; returns (session, result, plan).
+def chaos_test(*flags: str):
+    """The window's invariant test for one axis set of chaos draws.
 
-    The plan and fleet-shape draws live in
-    :mod:`repro.testing.scenarios` — the same contract the shrinker CLI
-    replays, so any failing seed here is directly
-    ``python -m repro.testing.shrink <seed>`` material.
+    ``flags`` are the :func:`~repro.testing.scenarios.chaos_scenario`
+    axes (``"partitions"``, ``"autoscaler"``, ``"regions"``), which are
+    also the shrinker CLI's flags, so a failing seed minimises directly
+    with ``python -m repro.testing.shrink --<flag>... <seed>``.
     """
-    session = session_from_scenario(chaos_scenario(seed))
-    return session, session.run(), session.faults
+    cli_flags = [f"--{flag}" for flag in flags]
 
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_chaos_invariants(seed):
-    session, result, plan = run_chaos(seed)
-    tag = f"plan[{plan.describe()}]"
-    cluster = session.cluster
-
-    # -- message conservation ----------------------------------------------
-    assert result.num_messages_in_flight == 0, (
-        f"{tag}: {result.num_messages_in_flight} messages still outstanding "
-        "after the run drained — a retry timer was lost"
-    )
-    assert (
-        result.num_messages_delivered + result.num_abandoned_messages
-        == result.num_messages_sent
-    ), (
-        f"{tag}: {result.num_messages_sent} sent != "
-        f"{result.num_messages_delivered} delivered + "
-        f"{result.num_abandoned_messages} abandoned"
-    )
-    for kind, abandoned in result.abandoned_by_kind.items():
-        assert 0 <= abandoned <= result.sends_by_kind[kind], (
-            f"{tag}: {kind} abandoned count outside [0, sent]"
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test(seed):
+        session = session_from_scenario(
+            chaos_scenario(seed, **{flag: True for flag in flags})
+        )
+        failure = check_invariants(session, session.run())
+        shrink = " ".join(["python -m repro.testing.shrink", *cli_flags, str(seed)])
+        assert failure is None, (
+            f"chaos seed {seed} broke the {failure!r} invariant "
+            f"(plan[{session.faults.describe()}]); minimise with: {shrink}"
         )
 
-    # -- upload conservation -----------------------------------------------
-    sent_uploads = result.sends_by_kind["upload"]
-    labeled = len(result.queue_waits)
-    rejected = result.num_rejected_uploads
-    abandoned = result.num_abandoned_uploads
-    assert labeled + rejected + abandoned == sent_uploads, (
-        f"{tag}: {sent_uploads} uploads sent but {labeled} labeled + "
-        f"{rejected} rejected + {abandoned} abandoned — a fault lost or "
-        "duplicated a job"
-    )
-    assert 0.0 <= result.label_loss_fraction <= 1.0
-
-    # dedup is exactly-once: no job may appear in two completion logs
-    all_completed = [
-        job for worker in cluster.workers for job in worker.completed_jobs
-    ]
-    assert len({id(job) for job in all_completed}) == len(all_completed), (
-        f"{tag}: a labeling job appears in two workers' completion logs"
-    )
-    assert all(job.wait_seconds >= -1e-9 for job in all_completed), (
-        f"{tag}: negative queue delay under faults"
-    )
-
-    # -- crash supervision --------------------------------------------------
-    crash_times = [record.time for record in result.crash_records]
-    assert crash_times == sorted(crash_times), f"{tag}: crash log out of order"
-    assert result.num_crash_recovered_jobs == sum(
-        record.jobs_in_flight for record in result.crash_records
-    ), f"{tag}: crash recovery counter disagrees with the crash log"
-    if not result.crash_records:
-        assert (
-            result.num_crash_recovered_jobs == 0
-            and result.crash_wasted_gpu_seconds == 0.0
-        ), f"{tag}: crash accounting moved without any crash"
-    if plan.crash_recovery == "checkpoint":
-        assert result.crash_wasted_gpu_seconds == 0.0, (
-            f"{tag}: checkpoint recovery must not waste GPU work"
-        )
-    for record in result.crash_records:
-        victim = cluster.workers[record.worker_id]
-        # no autoscaler here, so no drain race: every crash restarts
-        assert record.replacement_id is not None, (
-            f"{tag}: crash skipped its replacement with nothing draining"
-        )
-        replacement = cluster.workers[record.replacement_id]
-        assert victim.crashed and victim.draining, (
-            f"{tag}: crash victim {record.worker_id} not marked crashed"
-        )
-        assert victim.retired_at == pytest.approx(record.time), (
-            f"{tag}: victim kept billing after its crash"
-        )
-        assert replacement.spec == victim.spec, (
-            f"{tag}: replacement {record.replacement_id} has a different "
-            "hardware spec than the crashed worker"
-        )
-        assert record.mode == plan.crash_recovery
-        assert record.jobs_in_flight >= 0 and record.jobs_queued >= 0
-
-    # -- capacity conservation ---------------------------------------------
-    # a replacement provisioned by a late crash can drain the victim's
-    # backlog past the nominal stream duration; it is still provisioned
-    # (and billing) through that tail, so the conservation horizon must
-    # cover each worker's actual busy window, not just the stream end
-    for worker in cluster.workers:
-        horizon = max(result.duration_seconds, worker.busy_until)
-        provisioned = cluster.worker_provisioned_seconds(worker, horizon)
-        assert worker.busy_seconds <= provisioned + 1e-6, (
-            f"{tag}: worker {worker.worker_id} busy {worker.busy_seconds:.6f}s "
-            f"exceeds its provisioned {provisioned:.6f}s"
-        )
-    ids = [worker.worker_id for worker in cluster.workers]
-    assert ids == list(range(len(cluster.workers))), (
-        f"{tag}: worker ids reused or renumbered after crash recovery: {ids}"
-    )
+    return test
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_chaos_invariants_multi_region(seed):
-    """The rotating window again, federated: region axes on the plan.
-
-    Same ``REPRO_CHAOS_SEEDS`` / ``REPRO_CHAOS_SEED_OFFSET`` window as
-    :func:`test_chaos_invariants`, but each seed also draws 2–3
-    WAN-profiled regions, a selector and (usually) a region-outage
-    process on top of partitions and an autoscaler — the full chaos
-    cross.  The invariant oracle is the shrinker's own
-    :func:`repro.testing.shrink.check_invariants`, so a failing seed
-    here minimises directly with
-    ``python -m repro.testing.shrink --partitions --autoscaler
-    --regions <seed>``.
-    """
-    from repro.testing.shrink import check_invariants
-
-    session = session_from_scenario(
-        chaos_scenario(seed, partitions=True, autoscaler=True, regions=True)
-    )
-    result = session.run()
-    failure = check_invariants(session, result)
-    assert failure is None, (
-        f"multi-region chaos seed {seed} broke the {failure!r} invariant "
-        f"(plan[{session.faults.describe()}])"
-    )
+test_chaos_invariants = chaos_test()
+test_chaos_autoscaler_invariants = chaos_test("partitions", "autoscaler")
+test_chaos_invariants_multi_region = chaos_test("partitions", "autoscaler", "regions")
 
 
 def test_faults_off_runs_report_no_fault_activity(fleet_factory):

@@ -3,20 +3,12 @@
 The scheduler × placement × autoscaler × worker-mix grid is now far too
 large for per-policy golden pins, so this harness samples ~30 seeded
 random fleet configurations across all four axes (plus revocation
-processes and recovery modes) and asserts the *conservation laws* every
-configuration must obey, whatever the policies do:
-
-* **frame conservation** — every sampled upload is labeled exactly
-  once, explicitly rejected at admission, or revoked-and-relabeled and
-  then still labeled exactly once (nothing lost, nothing duplicated);
-* **capacity conservation** — no worker is ever busy for more
-  wall-seconds than it was provisioned, and the provisioned integral
-  equals the per-worker and per-tier sums the cost accounting bills;
-* **monotone timelines** — per-worker completion order, the provision
-  timeline, scaling events and revocation records all advance in
-  non-decreasing time, and provisioned counts never go negative;
-* **identity** — worker ids are never reused, every completed job is
-  completed by exactly one worker, queue delays are non-negative.
+processes and recovery modes) and checks each against the fleet's
+conservation laws — frame and capacity conservation, monotone
+timelines, never-reused worker ids — through the one oracle,
+:func:`repro.testing.invariants.check_invariants`.  The chaos grids'
+sampling contracts are guarded here too; their per-seed invariant cases
+run in ``tests/core/test_faults.py``'s rotating seed window.
 
 Each seed is an independent pytest case, so a failure names the exact
 configuration (printed in the assertion message) to replay.
@@ -33,7 +25,7 @@ from repro.core.cluster import REVOCATION_MODES, RevocationProcess
 from repro.core.scheduling import PLACEMENTS, SCHEDULERS, WORKER_TIERS
 from repro.detection import StudentConfig, StudentDetector, TeacherConfig, TeacherDetector
 from repro.runtime.events import Event, EventScheduler
-from repro.testing import check_invariants, chaos_scenario, session_from_scenario
+from repro.testing import chaos_scenario, check_invariants
 from repro.video import build_dataset
 
 from test_scheduling import small_config
@@ -193,109 +185,9 @@ def test_kernel_conservation_under_churn(seed):
 @pytest.mark.parametrize("seed", range(NUM_CONFIGS))
 def test_simulation_invariants(seed):
     config = sample_config(seed)
-    tag = describe(config)
     session, result = run_config(config)
-    cluster = session.cluster
-
-    # -- frame conservation ------------------------------------------------
-    # fault-aware form: faults may *abandon* uploads (num_abandoned_uploads,
-    # zero in this faults-off grid) but can never lose or duplicate one
-    sent = sum(entry.session.num_uploads for entry in result.cameras)
-    labeled = len(result.queue_waits)
-    rejected = result.num_rejected_uploads
-    abandoned = result.num_abandoned_uploads
-    assert labeled + rejected + abandoned == sent, (
-        f"{tag}: {sent} uploads sent but {labeled} labeled + {rejected} "
-        f"rejected + {abandoned} abandoned — a revocation or drain lost "
-        "or duplicated a job"
-    )
-    # every completed job was completed by exactly one worker
-    all_completed = [
-        job for worker in cluster.workers for job in worker.completed_jobs
-    ]
-    assert len({id(job) for job in all_completed}) == len(all_completed), (
-        f"{tag}: a labeling job appears in two workers' completion logs"
-    )
-    assert all(job.wait_seconds >= -1e-9 for job in all_completed), (
-        f"{tag}: negative queue delay — service started before arrival"
-    )
-    # revoked-and-relabeled work is counted, and only when revocations hit
-    recovered = result.num_relabeled_jobs + result.num_checkpoint_resumed_jobs
-    assert recovered == sum(
-        record.jobs_in_flight for record in result.revocation_records
-    ), f"{tag}: relabel/resume counters disagree with the revocation log"
-    if not result.revocation_records:
-        assert recovered == 0 and result.wasted_gpu_seconds == 0.0, (
-            f"{tag}: revocation accounting moved without any revocation"
-        )
-
-    # -- capacity conservation --------------------------------------------
-    horizon = result.duration_seconds
-    provisioned_total = 0.0
-    for worker in cluster.workers:
-        provisioned = cluster.worker_provisioned_seconds(worker, horizon)
-        provisioned_total += provisioned
-        assert worker.busy_seconds <= provisioned + 1e-6, (
-            f"{tag}: worker {worker.worker_id} busy {worker.busy_seconds:.6f}s "
-            f"exceeds its provisioned {provisioned:.6f}s"
-        )
-    assert result.gpu_seconds_provisioned == pytest.approx(
-        provisioned_total, abs=1e-6
-    ), f"{tag}: provision-log integral disagrees with per-worker lifetimes"
-    assert sum(result.gpu_seconds_by_tier.values()) == pytest.approx(
-        provisioned_total, abs=1e-6
-    ), f"{tag}: per-tier capacity split loses GPU-seconds"
-    assert result.dollar_cost >= 0.0
-    expected_cost = sum(
-        worker.spec.cost_per_gpu_second
-        * cluster.worker_provisioned_seconds(worker, horizon)
-        for worker in cluster.workers
-    )
-    assert result.dollar_cost == pytest.approx(expected_cost, abs=1e-6), (
-        f"{tag}: dollar cost disagrees with per-worker billing"
-    )
-
-    # -- monotone timelines -------------------------------------------------
-    for worker in cluster.workers:
-        completions = [job.completion for job in worker.completed_jobs]
-        assert completions == sorted(completions), (
-            f"{tag}: worker {worker.worker_id} completions out of order"
-        )
-    timeline = cluster.provision_timeline()
-    times = [time for time, _ in timeline]
-    assert times == sorted(times), f"{tag}: provision timeline not sorted"
-    counts = [count for _, count in timeline]
-    assert all(count >= 0 for count in counts), (
-        f"{tag}: provisioned worker count went negative"
-    )
-    assert counts[0] >= 1 and max(counts) <= len(cluster.workers), (
-        f"{tag}: provision counts outside [1, {len(cluster.workers)}]"
-    )
-    event_times = [event.time for event in result.scaling_events]
-    assert event_times == sorted(event_times), (
-        f"{tag}: scaling events out of time order"
-    )
-    revocation_times = [record.time for record in result.revocation_records]
-    assert revocation_times == sorted(revocation_times), (
-        f"{tag}: revocation records out of time order"
-    )
-
-    # -- identity ------------------------------------------------------------
-    ids = [worker.worker_id for worker in cluster.workers]
-    assert ids == list(range(len(cluster.workers))), (
-        f"{tag}: worker ids reused or renumbered: {ids}"
-    )
-    assert len(result.worker_specs) == len(cluster.workers)
-    for record in result.revocation_records:
-        victim = cluster.workers[record.worker_id]
-        assert victim.spec.preemptible and victim.revoked, (
-            f"{tag}: revocation hit a non-preemptible or non-revoked worker"
-        )
-
-
-def chaos_grid(seed: int) -> dict:
-    """One cell of the chaos cross-product: autoscaler × partitions on."""
-    return chaos_scenario(seed, partitions=True, autoscaler=True)
+    failure = check_invariants(session, result)
+    assert failure is None, f"{describe(config)}: invariant broken: {failure}"
 
 
 def test_chaos_grid_covers_the_fault_axes():
@@ -303,9 +195,13 @@ def test_chaos_grid_covers_the_fault_axes():
 
     Guards the sampling contract: if a draw change silently stopped
     producing autoscaled, batched, partitioned or crashing cells, the
-    per-seed invariant cases below would go green while testing nothing.
+    per-seed invariant cases in ``test_faults.py`` would go green while
+    testing nothing.
     """
-    scenarios = [chaos_grid(seed) for seed in range(NUM_CHAOS_CONFIGS)]
+    scenarios = [
+        chaos_scenario(seed, partitions=True, autoscaler=True)
+        for seed in range(NUM_CHAOS_CONFIGS)
+    ]
     axes = {
         "autoscaler": [bool(s["autoscaler"]) for s in scenarios],
         "batching": [bool(s["batching"]) for s in scenarios],
@@ -326,67 +222,6 @@ def test_chaos_grid_covers_the_fault_axes():
     ), "no scenario crosses autoscaler × batching × partitions × crashes"
 
 
-@pytest.mark.parametrize("seed", range(NUM_CHAOS_CONFIGS))
-def test_chaos_autoscaler_invariants(seed):
-    """Conservation laws under autoscaler × partitioned link × batching.
-
-    The faults-off grid above cannot see the crash-vs-drain race or
-    queued-not-lost partition semantics; this grid samples seeded cells
-    where all of them interact and asserts the same laws via the
-    shrinker's oracle (:func:`repro.testing.check_invariants`) — so
-    any red cell here is immediately
-    ``python -m repro.testing.shrink`` material.
-    """
-    scenario = chaos_grid(seed)
-    tag = f"seed={seed} scenario={scenario}"
-    session = session_from_scenario(scenario)
-    result = session.run()
-    failure = check_invariants(session, result)
-    assert failure is None, f"{tag}: invariant broken: {failure}"
-
-    # fault-aware frame conservation, spelled out for a readable failure
-    sent = result.sends_by_kind["upload"]
-    labeled = len(result.queue_waits)
-    assert (
-        labeled + result.num_rejected_uploads + result.num_abandoned_uploads
-        == sent
-    ), f"{tag}: upload conservation broke under faults"
-
-    # crash-vs-drain: each worker crashes at most once (no double
-    # preemption), drain-race victims are never restarted, and ids stay
-    # append-only through every scale-out, crash and drain
-    cluster = session.cluster
-    victims = [record.worker_id for record in result.crash_records]
-    assert len(set(victims)) == len(victims), (
-        f"{tag}: a worker appears twice in the crash log"
-    )
-    for record in result.crash_records:
-        victim = cluster.workers[record.worker_id]
-        assert victim.crashed and victim.draining, (
-            f"{tag}: crash victim {record.worker_id} not marked crashed"
-        )
-        if record.replacement_id is None:
-            # the victim lost the crash-vs-drain race: it was already
-            # draining out of a scale-down, so no replacement started
-            assert victim.retired_at == pytest.approx(record.time), (
-                f"{tag}: drain-race victim kept billing past its crash"
-            )
-        else:
-            assert (
-                cluster.workers[record.replacement_id].spec == victim.spec
-            ), f"{tag}: crash replacement changed hardware spec"
-    ids = [worker.worker_id for worker in cluster.workers]
-    assert ids == list(range(len(cluster.workers))), (
-        f"{tag}: worker ids reused or renumbered: {ids}"
-    )
-    assert result.dollar_cost >= 0.0
-
-
-def region_chaos_grid(seed: int) -> dict:
-    """One cell of the federated cross-product: every chaos axis on."""
-    return chaos_scenario(seed, partitions=True, autoscaler=True, regions=True)
-
-
 def test_region_chaos_grid_covers_the_region_axes():
     """The federated 20-seed window genuinely varies the region axes.
 
@@ -396,7 +231,10 @@ def test_region_chaos_grid_covers_the_region_axes():
     the window, and at least one cell crosses outages × partitions ×
     autoscaler × batching.
     """
-    scenarios = [region_chaos_grid(seed) for seed in range(NUM_CHAOS_CONFIGS)]
+    scenarios = [
+        chaos_scenario(seed, partitions=True, autoscaler=True, regions=True)
+        for seed in range(NUM_CHAOS_CONFIGS)
+    ]
     assert all(s.get("regions") for s in scenarios)
     assert all(len(s["regions"]["wan"]) >= 2 for s in scenarios), (
         "a federated cell collapsed to a single region"
@@ -427,79 +265,3 @@ def test_region_chaos_grid_covers_the_region_axes():
         and scenarios[i]["batching"]
         for i in range(NUM_CHAOS_CONFIGS)
     ), "no cell crosses outages × partitions × autoscaler × batching"
-
-
-@pytest.mark.parametrize("seed", range(NUM_CHAOS_CONFIGS))
-def test_region_chaos_invariants(seed):
-    """Conservation laws under region outages × WAN partitions × chaos.
-
-    The federated equivalent of the grid above: every cell homes the
-    fleet across 2–3 WAN-profiled regions, cuts WAN links per region,
-    tears whole regions down and fails cameras over — and the same
-    laws must hold across the union of clusters: no upload lost or
-    duplicated across a migration, every job labeled exactly once, no
-    region ever reuses a worker id, and the billed dollar total closes
-    against per-region compute plus WAN egress.
-    """
-    scenario = region_chaos_grid(seed)
-    tag = f"seed={seed} scenario={scenario}"
-    session = session_from_scenario(scenario)
-    result = session.run()
-    failure = check_invariants(session, result)
-    assert failure is None, f"{tag}: invariant broken: {failure}"
-
-    # frame conservation across migrations: a camera re-homed mid-run
-    # must not lose or double-label uploads already in flight
-    sent = result.sends_by_kind["upload"]
-    labeled = len(result.queue_waits)
-    assert (
-        labeled + result.num_rejected_uploads + result.num_abandoned_uploads
-        == sent
-    ), f"{tag}: upload conservation broke across region migrations"
-
-    # exactly-once labeling across the union of regional clusters
-    all_completed = [
-        job
-        for cluster in session.clusters
-        for worker in cluster.workers
-        for job in worker.completed_jobs
-    ]
-    assert len({id(job) for job in all_completed}) == len(all_completed), (
-        f"{tag}: a job appears in two regions' completion logs"
-    )
-    assert len(all_completed) == labeled, (
-        f"{tag}: cluster completion logs disagree with the fleet result"
-    )
-
-    # ids stay append-only inside every region (never reused, never
-    # renumbered across failover teardowns and heals)
-    for region_index, cluster in enumerate(session.clusters):
-        ids = [worker.worker_id for worker in cluster.workers]
-        assert ids == list(range(len(cluster.workers))), (
-            f"{tag}: region {region_index} reused worker ids: {ids}"
-        )
-
-    # cost-accounting closure: the one billed total is exactly the sum
-    # of every region's provisioned compute plus every link's egress
-    federation = session.federation
-    expected = federation.compute_dollar_cost(
-        result.duration_seconds
-    ) + federation.wan_dollar_cost()
-    assert result.dollar_cost == pytest.approx(expected, abs=1e-6), (
-        f"{tag}: dollar cost does not close over compute + WAN"
-    )
-    assert result.wan_dollar_cost == pytest.approx(
-        sum(m["wan_dollar_cost"] for m in result.region_metrics), abs=1e-9
-    ), f"{tag}: per-region WAN billing loses dollars"
-
-    # homing bookkeeping: every camera homed exactly somewhere, and
-    # every migration left one region and entered another
-    assert (
-        sum(m["num_cameras_homed"] for m in result.region_metrics)
-        == scenario["n_cameras"]
-    ), f"{tag}: camera homing lost or duplicated a camera"
-    migrations_in = sum(m["num_migrations_in"] for m in result.region_metrics)
-    migrations_away = sum(m["num_migrations_away"] for m in result.region_metrics)
-    assert (
-        migrations_in == migrations_away == result.num_region_migrations
-    ), f"{tag}: migration in/away totals disagree"

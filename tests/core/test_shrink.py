@@ -7,7 +7,9 @@ real failure without depending on any actual bug existing: with the
 flag planted a hostile scenario goes red, and the shrinker must walk it
 down to a minimal case — autoscaler/batching/crashes/partitions all
 stripped, retry budget at its floor, at most the fault rates the
-failure genuinely needs — the same way on every run.
+failure genuinely needs — the same way on every run.  The oracle
+itself is pinned law by law: a result doctored to break one law must
+fail with exactly that law's signature.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.testing import (
     session_from_scenario,
 )
 from repro.testing.shrink import main, planted, write_fixture
+
+from test_invariants import run_config, sample_config
 
 #: a seed whose chaos draw fails under the planted dedup bug (its plan
 #: draws a meaningful duplicate_rate); pinned by the probe test below
@@ -71,20 +75,145 @@ def clean_run():
     return session, result
 
 
-def test_oracle_ties_recovery_counters_to_the_revocation_log(clean_run):
-    session, result = clean_run
-    doctored = dataclasses.replace(
-        result, num_relabeled_jobs=result.num_relabeled_jobs + 1
-    )
-    assert check_invariants(session, doctored) == "revocation_counter"
+@pytest.fixture(scope="module")
+def crash_run():
+    """A short federated chaos run with checkpointed crash restarts."""
+    scenario = chaos_scenario(19, partitions=True, autoscaler=True, regions=True)
+    scenario["n_cameras"], scenario["num_frames"] = 2, 40
+    session = session_from_scenario(scenario)
+    result = session.run()
+    assert check_invariants(session, result) is None
+    assert result.crash_records and result.region_metrics
+    assert session.faults.crash_recovery == "checkpoint"
+    return session, result
 
 
-def test_oracle_checks_the_per_tier_capacity_split(clean_run):
-    session, result = clean_run
-    doctored = dataclasses.replace(
-        result, gpu_seconds_by_tier={"on_demand": result.gpu_seconds_provisioned + 1.0}
-    )
-    assert check_invariants(session, doctored) == "tier_split"
+@pytest.fixture(scope="module")
+def spot_run():
+    """A faults-off grid config with spot revocations and scaling events."""
+    session, result = run_config(sample_config(20))
+    assert check_invariants(session, result) is None
+    assert len(session.cluster.revocation_log) >= 2
+    return session, result
+
+
+def test_oracle_accepts_a_faults_off_run(fleet_factory):
+    session = fleet_factory(n_cameras=2, num_frames=40)
+    assert check_invariants(session, session.run()) is None
+
+
+def bump(field: str):
+    """A doctor raising one result field by one."""
+    return lambda s, r, patch: dataclasses.replace(r, **{field: getattr(r, field) + 1})
+
+
+def bump_region(key: str):
+    """A doctor raising region 0's ``key`` metric by one."""
+
+    def doctor(session, result, patch):
+        first, *rest = result.region_metrics
+        metrics = [{**first, key: first[key] + 1}, *rest]
+        return dataclasses.replace(result, region_metrics=metrics)
+
+    return doctor
+
+
+def edit(target, attr: str, change):
+    """A doctor setting ``target(session).attr`` to ``change(old value)``."""
+
+    def doctor(session, result, patch):
+        record = target(session)
+        patch(record, attr, change(getattr(record, attr)))
+
+    return doctor
+
+
+def busiest(session):
+    """The worker with the longest completion log."""
+    workers = [w for cluster in session.clusters for w in cluster.workers]
+    return max(workers, key=lambda worker: len(worker.completed_jobs))
+
+
+def crashed(session):
+    """The first cluster that logged a crash."""
+    return next(cluster for cluster in session.clusters if cluster.crash_log)
+
+
+def busy_past_the_end(session, result, patch):
+    """A still-provisioned worker kept busy long after the run ended."""
+    worker = next(w for w in session.cluster.workers if w.retired_at is None)
+    patch(worker, "busy_until", worker.busy_until + 100.0)
+    patch(worker, "busy_seconds", worker.busy_seconds + 50.0)
+
+
+def revoked(session):
+    """The first spot worker a revocation hit."""
+    return session.cluster.workers[session.cluster.revocation_log[0].worker_id]
+
+
+def reverse(items):
+    return items[::-1]
+
+
+def first_crash(**changes):
+    """A crash-log edit replacing fields of its first record."""
+    return lambda log: [dataclasses.replace(log[0], **changes), *log[1:]]
+
+
+#: (signature, run fixture, doctor): each doctor breaks exactly one law,
+#: either returning a replaced result or editing one record in place
+#: through ``patch`` (``monkeypatch.setattr``, undone after the case)
+DOCTORED = [
+    ("revocation_counter", "clean_run", bump("num_relabeled_jobs")),
+    ("tier_split", "clean_run", bump("gpu_seconds_provisioned")),
+    ("completion_order", "clean_run", edit(busiest, "completed_jobs", reverse)),
+    (
+        "provision_timeline",
+        "clean_run",
+        edit(lambda s: s.cluster, "_provision_log", lambda log: [(0.0, -1), *log]),
+    ),
+    (
+        "revocation_log_order",
+        "spot_run",
+        edit(lambda s: s.cluster, "revocation_log", reverse),
+    ),
+    ("revocation_victim_state", "spot_run", edit(revoked, "revoked", lambda _: False)),
+    ("repeat_crash", "crash_run", edit(crashed, "crash_log", lambda log: [log[0], *log])),
+    ("crash_mode", "crash_run", edit(crashed, "crash_log", first_crash(mode="reboot"))),
+    (
+        "crash_without_replacement",
+        "crash_run",
+        edit(crashed, "crash_log", first_crash(replacement_id=None)),
+    ),
+    (
+        "scaling_event_order",
+        "spot_run",
+        edit(lambda s: s.federation.regions[0].controller, "events", reverse),
+    ),
+    ("capacity_within_run", "spot_run", busy_past_the_end),
+    ("revocation_without_record", "clean_run", bump("wasted_gpu_seconds")),
+    ("crash_without_record", "clean_run", bump("crash_wasted_gpu_seconds")),
+    ("checkpoint_waste", "crash_run", bump("crash_wasted_gpu_seconds")),
+    (
+        "worker_specs_count",
+        "clean_run",
+        lambda s, r, patch: dataclasses.replace(r, worker_specs=r.worker_specs[1:]),
+    ),
+    ("completion_count", "clean_run", edit(busiest, "completed_jobs", lambda j: j[1:])),
+    ("wan_cost_split", "crash_run", bump("wan_dollar_cost")),
+    ("camera_homing", "crash_run", bump_region("num_cameras_homed")),
+    ("migration_balance", "crash_run", bump_region("num_migrations_in")),
+]
+
+
+@pytest.mark.parametrize(
+    "signature, run, doctor", DOCTORED, ids=[row[0] for row in DOCTORED]
+)
+def test_oracle_names_the_broken_law(signature, run, doctor, request, monkeypatch):
+    """A result doctored to break one law fails with that law's signature."""
+    session, result = request.getfixturevalue(run)
+    doctored = doctor(session, result, monkeypatch.setattr) or result
+    assert check_invariants(session, doctored) == signature
 
 
 def test_passing_config_reports_no_failure_found():
