@@ -4,9 +4,11 @@ The golden pins listed in ``docs/architecture.md`` compare two code
 paths of the same tree with each other, or hold a weight checksum to a
 relative tolerance.  An inexact rewrite of the detector or the renderer
 moves both sides of such a pin and passes it.  This pin instead hashes
-what one run computes and compares the digests with constants recorded
-before the NumPy fast paths of ``repro.nn``, ``repro.detection`` and
-``repro.video.render`` were written:
+what one run computes and compares the digests with constants.  They
+were first recorded before the NumPy fast paths of ``repro.nn``,
+``repro.detection`` and ``repro.video.render`` were written, and
+re-recorded once, with the code unchanged, when the run moved to one
+BLAS thread:
 
 * every rendered frame (the offline pretraining set, the replay seed and
   both camera streams), per renderer;
@@ -19,11 +21,20 @@ before the NumPy fast paths of ``repro.nn``, ``repro.detection`` and
 Any changed float anywhere in that pipeline fails it.  A change that is
 *meant* to move floats (float32 math, folding BatchNorm into the conv)
 re-records the constants in its own commit.
+
+OpenBLAS splits a product across its threads in a way that changes the
+rounding, so the digests depend on the BLAS thread count.  The run
+therefore happens in a child process with one BLAS thread, the setting
+of the end-to-end benchmark, whatever the parent's environment says.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,19 +51,19 @@ from repro.detection import (
 from repro.video import build_dataset
 from repro.video.render import FrameRenderer
 
-#: digests recorded before the fast paths landed
+#: digests of the run with one BLAS thread
 GOLDEN = {
     "render[0]": "f9f4dede1789958a",
     "render[1]": "c1a096f4e5344b16",
     "render[2]": "34bc7f6ef2f796d4",
     "render[3]": "88d0356f5a073864",
-    "pretrained": "1e87fe1752b6bcce",
-    "student[0].outputs": "b3b8ca37ac1b16bb",
-    "student[0].detections": "71052dbd5361da45",
-    "student[0].weights": "1e87fe1752b6bcce",
-    "student[1].outputs": "30b9394c2d3ff160",
-    "student[1].detections": "66e0d3d8dbc8bd99",
-    "student[1].weights": "bb82591d944bb00d",
+    "pretrained": "685bbf67c5590ceb",
+    "student[0].outputs": "e955fd8557ab821e",
+    "student[0].detections": "764d6fc114e185a1",
+    "student[0].weights": "685bbf67c5590ceb",
+    "student[1].outputs": "ec929ba3d4cc3e3b",
+    "student[1].detections": "0825270c9de3ec2b",
+    "student[1].weights": "b366ecbd8a539476",
     "fingerprint": "9f2c49c008fd1cb1",
 }
 
@@ -186,6 +197,33 @@ def pinned_run(monkeypatch: pytest.MonkeyPatch) -> dict[str, str]:
     return digests
 
 
-def test_fleet_run_is_bit_for_bit_pinned(monkeypatch):
-    digests = pinned_run(monkeypatch)
-    assert digests == GOLDEN
+#: every thread-count variable a NumPy BLAS build may read
+SINGLE_THREADED = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+
+
+def single_threaded_digests() -> dict[str, str]:
+    """Run :func:`pinned_run` in a child process with one BLAS thread."""
+    env = dict(os.environ, **SINGLE_THREADED)
+    env["PYTHONPATH"] = os.pathsep.join(path for path in sys.path if path)
+    child = subprocess.run(
+        [sys.executable, __file__],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_fleet_run_is_bit_for_bit_pinned():
+    assert single_threaded_digests() == GOLDEN
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as patch:
+        print(json.dumps(pinned_run(patch)))
