@@ -94,13 +94,26 @@ def nms(detections: list[Detection], iou_threshold: float = 0.45) -> list[Detect
             key=lambda d: d.score,
             reverse=True,
         )
-        boxes = [(d, d.as_xyxy()) for d in candidates]
+        # corners and area once per box; the loop below is iou_xyxy
+        # inlined, with the same expressions in the same operand order
+        boxes = []
+        for d in candidates:
+            x1, y1, x2, y2 = d.as_xyxy()
+            boxes.append((d, x1, y1, x2, y2, max(0.0, x2 - x1) * max(0.0, y2 - y1)))
         while boxes:
-            best, best_xyxy = boxes.pop(0)
+            best, ax1, ay1, ax2, ay2, area_a = boxes[0]
             kept.append(best)
-            boxes = [
-                (d, xyxy) for d, xyxy in boxes if iou_xyxy(best_xyxy, xyxy) < iou_threshold
-            ]
+            survivors = []
+            for box in boxes[1:]:
+                _, bx1, by1, bx2, by2, area_b = box
+                inter = max(0.0, min(ax2, bx2) - max(ax1, bx1)) * max(
+                    0.0, min(ay2, by2) - max(ay1, by1)
+                )
+                union = area_a + area_b - inter
+                # iou_xyxy is 0 for union <= 0, and iou_threshold > 0
+                if union <= 0 or inter / union < iou_threshold:
+                    survivors.append(box)
+            boxes = survivors
     return sorted(kept, key=lambda d: d.score, reverse=True)
 
 

@@ -61,14 +61,20 @@ def im2col(
         padded[:, :, padding : padding + h, padding : padding + w] = x
         x = padded
 
-    cols = np.empty((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
-    for ky in range(kernel_h):
-        y_max = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_max = kx + stride * out_w
-            cols[:, :, ky, kx, :, :] = x[:, :, ky:y_max:stride, kx:x_max:stride]
-
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+    # every receptive field as a read-only view, copied once: in (c, ky,
+    # kx) x (oy, ox) order for one image, so the columns are its
+    # transpose, and straight into the row-major columns for a batch
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kernel_h, kernel_w, out_h, out_w),
+        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False,
+    )
+    if n == 1:
+        return np.array(windows[0], order="C").reshape(-1, out_h * out_w).T
+    columns = np.array(windows.transpose(0, 4, 5, 1, 2, 3), order="C")
+    return columns.reshape(n * out_h * out_w, -1)
 
 
 def col2im(

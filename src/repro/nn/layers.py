@@ -3,6 +3,9 @@
 Each :class:`Module` caches whatever it needs from the forward pass and
 consumes it in :meth:`Module.backward`.  Gradients are accumulated into
 ``Parameter.grad`` and applied by an optimizer from :mod:`repro.nn.optim`.
+In eval mode the layers the student runs per frame (``Conv2d``,
+``LeakyReLU``, ``MaxPool2d`` and the normalisation layers) keep no
+backward state and take the cheapest kernel that gives the same bits.
 
 The design intentionally mirrors a small subset of the PyTorch module API
 (``parameters()``, ``train()``/``eval()``, named modules) so that the
@@ -272,8 +275,10 @@ class Conv2d(Module):
         n, _, h, w = x.shape
         out_h, out_w = self.output_shape(h, w)
         cols = F.im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
-        self._cache_cols = cols
-        self._cache_shape = x.shape
+        if self.training:
+            self._cache_cols, self._cache_shape = cols, x.shape
+        else:
+            self._cache_cols = self._cache_shape = None
         w_flat = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ w_flat.T
         if self.bias is not None:
@@ -282,7 +287,7 @@ class Conv2d(Module):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache_cols is None or self._cache_shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called before a training-mode forward")
         n, _, h, w = self._cache_shape
         grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         w_flat = self.weight.data.reshape(self.out_channels, -1)
@@ -326,22 +331,32 @@ class ReLU(Module):
 
 
 class LeakyReLU(Module):
-    """Leaky rectifier with configurable negative slope."""
+    """Leaky rectifier with a negative slope in [0, 1]."""
 
     def __init__(self, negative_slope: float = 0.1) -> None:
         super().__init__()
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be non-negative")
+        if not 0.0 <= negative_slope <= 1.0:
+            raise ValueError("negative_slope must be in [0, 1]")
         self.negative_slope = negative_slope
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        s = self.negative_slope
+        if self.training:
+            self._mask = x > 0
+            return np.where(self._mask, x, s * x)
+        self._mask = None
+        if s == 0.0:
+            # 0 * inf is NaN, so the max below would turn +inf into NaN
+            return np.where(x > 0, x, s * x)
+        # for 0 < s <= 1, s*x <= x when x >= 0 and s*x >= x when x <= 0,
+        # and np.maximum returns x itself for a NaN x: the same bits as
+        # the masked select, ±0 included
+        return np.maximum(x, s * x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called before a training-mode forward")
         return np.where(self._mask, grad, self.negative_slope * grad)
 
 
@@ -395,7 +410,13 @@ class MaxPool2d(Module):
         k, s = self.kernel_size, self.stride
         out_h = F.conv_output_size(h, k, s, 0)
         out_w = F.conv_output_size(w, k, s, 0)
-        if k == s and h % k == 0 and w % k == 0:
+        tiles = k == s and h % k == 0 and w % k == 0
+        if not self.training:
+            self._cache = None
+            # NaN windows take the argmax path; initial= allows an empty batch
+            if tiles and not np.isnan(x.max(initial=-np.inf)):
+                return self._tournament(x)
+        if tiles:
             # non-overlapping windows that tile the input: the same rows
             # and window order as im2col, from a reshape and one copy
             cols = (
@@ -407,12 +428,29 @@ class MaxPool2d(Module):
             cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
         argmax = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = (argmax, np.array(cols.shape), x.shape)
+        if self.training:
+            self._cache = (argmax, np.array(cols.shape), x.shape)
         return out.reshape(n, c, out_h, out_w)
+
+    def _tournament(self, x: np.ndarray) -> np.ndarray:
+        """Max over the k² strided slices of NaN-free tiling windows.
+
+        A slice replaces the running maximum only where it is strictly
+        greater, so the first maximum in window order wins, as with
+        ``argmax``: ties and ±0 give the same bits.
+        """
+        k = self.kernel_size
+        out = x[:, :, ::k, ::k]
+        for ky in range(k):
+            for kx in range(k):
+                if ky or kx:
+                    window = x[:, :, ky::k, kx::k]
+                    out = np.where(window > out, window, out)
+        return np.ascontiguousarray(out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called before a training-mode forward")
         argmax, cols_shape, x_shape = self._cache
         n, c, h, w = x_shape
         k, s = self.kernel_size, self.stride

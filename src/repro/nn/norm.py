@@ -95,23 +95,20 @@ class _BatchNormBase(Module):
         if self.training:
             out = self._train_forward(flat)
         else:
-            x_hat = (flat - self.running_mean) / np.sqrt(self.running_var + self.eps)
-            self._cache = {"x_hat": x_hat, "eval": np.array(1.0)}
-            out = self.gamma.data * x_hat + self.beta.data
+            # gamma * x_hat + beta of the running statistics, in place on
+            # one buffer: the same products and sums, so the same bits
+            self._cache = None
+            out = flat - self.running_mean
+            out /= np.sqrt(self.running_var + self.eps)
+            out *= self.gamma.data
+            out += self.beta.data
         return self._unflatten(out, original_shape)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward called before a training-mode forward")
         original_shape = grad.shape
-        grad_flat = self._flatten(grad)
-        if "eval" in self._cache:
-            x_hat = self._cache["x_hat"]
-            self.gamma.grad += (grad_flat * x_hat).sum(axis=0)
-            self.beta.grad += grad_flat.sum(axis=0)
-            dx = grad_flat * self.gamma.data / np.sqrt(self.running_var + self.eps)
-            return self._unflatten(dx, original_shape)
-        dx = self._train_backward(grad_flat)
+        dx = self._train_backward(self._flatten(grad))
         return self._unflatten(dx, original_shape)
 
 

@@ -138,11 +138,34 @@ def random_detections(rng, count):
     return detections
 
 
+def degenerate_detections():
+    """Identical, edge-touching and zero-area boxes of two classes.
+
+    Every coordinate is dyadic, so touching edges meet exactly, and a
+    width of 1e-20 gives a box whose corners coincide in floats.
+    """
+    detections = []
+    for class_id in (0, 1):
+        detections += [
+            Detection(class_id, 0.5, 0.5, 0.25, 0.25, 0.9),
+            Detection(class_id, 0.5, 0.5, 0.25, 0.25, 0.9),  # identical
+            Detection(class_id, 0.5, 0.5, 0.25, 0.25, 0.8),  # identical, lower score
+            Detection(class_id, 0.75, 0.5, 0.25, 0.25, 0.7),  # touches it at x = 0.625
+            Detection(class_id, 0.5, 0.25, 0.25, 0.25, 0.6),  # touches it at y = 0.375
+            Detection(class_id, 0.25, 0.25, 1e-20, 1e-20, 0.5),  # zero area
+            Detection(class_id, 0.25, 0.25, 1e-20, 1e-20, 0.5),  # the same zero-area box
+            Detection(class_id, 0.5, 0.5, 1e-20, 0.25, 0.4),  # zero area, inside the first
+        ]
+    return detections
+
+
 @pytest.mark.parametrize("iou_threshold", [0.1, 0.45, 0.9, 1.0])
 def test_nms_matches_reference(iou_threshold):
     rng = np.random.default_rng(int(iou_threshold * 100))
-    for count in (0, 1, 2, 10, 60):
-        detections = random_detections(rng, count)
+    cases = [random_detections(rng, count) for count in (0, 1, 2, 10, 60)]
+    degenerate = degenerate_detections()
+    cases += [degenerate, degenerate[::-1], list(rng.permutation(degenerate))]
+    for detections in cases:
         assert_same_detections(
             nms(detections, iou_threshold), reference_nms(detections, iou_threshold)
         )

@@ -1,10 +1,13 @@
-"""Bit-exactness of the im2col and max-pool fast paths.
+"""Bit-exactness of the im2col fast path and of the layers' eval paths.
 
 Each fast path is compared with a reference copy of the straightforward
-loop it replaced, byte for byte.  For ``im2col`` the memory order of the
+code it replaced, byte for byte.  For ``im2col`` the memory order of the
 columns matters as much as their values: BLAS rounds a product with a
 row-major operand differently from one with a column-major operand, so
-the products with a weight matrix are compared too.
+the products with a weight matrix are compared too.  In eval mode
+``MaxPool2d``, ``LeakyReLU`` and the normalisation layers take cheaper
+kernels than in training mode and keep no backward state; they are held
+to the training-mode expressions.
 """
 
 from __future__ import annotations
@@ -120,9 +123,17 @@ POOL_CASES = [
 ]
 
 
+#: (value set, training mode); the eval cases' ids end in "-eval"
+POOL_MODES = [
+    pytest.param(values, training, id=values if training else f"{values}-eval")
+    for values in ("normal", "ties", "signed_zeros", "nan")
+    for training in (True, False)
+]
+
+
 @pytest.mark.parametrize(("kernel", "stride", "height", "width"), POOL_CASES)
-@pytest.mark.parametrize("values", ["normal", "ties", "signed_zeros"])
-def test_maxpool_matches_reference(kernel, stride, height, width, values):
+@pytest.mark.parametrize(("values", "training"), POOL_MODES)
+def test_maxpool_matches_reference(kernel, stride, height, width, values, training):
     rng = np.random.default_rng(kernel * 100 + height * 10 + width)
     shape = (2, 3, height, width)
     if values == "normal":
@@ -130,13 +141,23 @@ def test_maxpool_matches_reference(kernel, stride, height, width, values):
     elif values == "ties":
         # few distinct values: most windows hold their maximum twice
         data = rng.integers(0, 3, size=shape).astype(np.float64)
-    else:
+    elif values == "signed_zeros":
         # -0.0 and 0.0 compare equal; the first one in the window must win
         data = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    else:
+        # NaN and -NaN in a few windows, at every window position
+        data = rng.normal(size=shape)
+        data[rng.random(shape) < 0.1] = np.nan
+        data[rng.random(shape) < 0.05] = -np.nan
     nhwc_view = np.ascontiguousarray(data.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     for x in (data, nhwc_view):
         pool = nn.MaxPool2d(kernel, stride)
         expected, expected_argmax = reference_maxpool(x, kernel, stride)
+        if not training:
+            pool.eval()
+            assert_bitwise(pool.forward(x), expected)
+            assert pool.forward(x).flags.c_contiguous
+            continue
         out = pool.forward(x)
         assert_bitwise(out, expected)
         grad = rng.normal(size=out.shape)
@@ -146,3 +167,84 @@ def test_maxpool_matches_reference(kernel, stride, height, width, values):
         n, c, h, w = x.shape
         expected_dx = F.col2im(grad_cols, (n * c, 1, h, w), kernel, kernel, stride, 0)
         assert_bitwise(dx, expected_dx.reshape(n, c, h, w))
+
+
+def signed_values(rng, shape):
+    """Normal values with ±0, ±inf, NaN and -NaN mixed in."""
+    x = rng.normal(size=shape)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    mask = rng.random(shape) < 0.3
+    x[mask] = rng.choice(specials, size=int(mask.sum()))
+    return x
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 0.5, 1.0])
+def test_leaky_relu_eval_matches_the_masked_select(slope):
+    rng = np.random.default_rng(int(slope * 10))
+    x = signed_values(rng, (2, 5, 6, 7))
+    layer = nn.LeakyReLU(slope)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        expected = np.where(x > 0, x, slope * x)
+        assert_bitwise(layer.forward(x), expected)
+        layer.eval()
+        for view in (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+            assert_bitwise(layer.forward(view), expected)
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan])
+def test_leaky_relu_rejects_slopes_outside_the_unit_interval(slope):
+    with pytest.raises(ValueError):
+        nn.LeakyReLU(slope)
+
+
+@pytest.mark.parametrize(
+    "layer_type", [nn.BatchNorm1d, nn.BatchNorm2d, nn.BatchRenorm1d, nn.BatchRenorm2d]
+)
+def test_norm_eval_matches_the_running_statistics_expression(layer_type):
+    rng = np.random.default_rng(7)
+    spatial = layer_type in (nn.BatchNorm2d, nn.BatchRenorm2d)
+    shape = (3, 4, 5, 6) if spatial else (11, 4)
+    layer = layer_type(4)
+    layer.gamma.data = rng.normal(size=4)
+    layer.beta.data = rng.normal(size=4)
+    for _ in range(3):
+        layer.forward(rng.normal(2.0, 3.0, size=shape))
+    layer.eval()
+    x = signed_values(rng, shape)
+    if spatial:
+        inputs = (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2))
+        flat = x.transpose(0, 2, 3, 1).reshape(-1, 4)
+    else:
+        inputs = (x,)
+        flat = x
+    x_hat = (flat - layer.running_mean) / np.sqrt(layer.running_var + layer.eps)
+    expected = layer.gamma.data * x_hat + layer.beta.data
+    if spatial:
+        expected = expected.reshape(3, 5, 6, 4).transpose(0, 3, 1, 2)
+    for view in inputs:
+        out = layer.forward(view)
+        assert_bitwise(out, expected)
+        assert out.strides == expected.strides
+
+
+STALE_CACHE_CASES = [
+    pytest.param(lambda: nn.Conv2d(3, 4, 3, padding=1), (2, 3, 6, 6), id="conv"),
+    pytest.param(lambda: nn.BatchNorm2d(3), (2, 3, 6, 6), id="batchnorm"),
+    pytest.param(lambda: nn.BatchRenorm2d(3), (2, 3, 6, 6), id="batchrenorm"),
+    pytest.param(lambda: nn.LeakyReLU(0.1), (2, 3, 6, 6), id="leaky_relu"),
+    pytest.param(lambda: nn.MaxPool2d(2), (2, 3, 6, 6), id="maxpool"),
+    pytest.param(lambda: nn.MaxPool2d(3, 2), (2, 3, 7, 7), id="maxpool_overlapping"),
+]
+
+
+@pytest.mark.parametrize(("make_layer", "shape"), STALE_CACHE_CASES)
+def test_backward_after_an_eval_forward_raises(make_layer, shape):
+    """An eval forward drops the training forward's cache instead of
+    leaving it for a backward pass that would use stale activations."""
+    layer = make_layer()
+    rng = np.random.default_rng(0)
+    out = layer.forward(rng.normal(size=shape))
+    layer.eval()
+    layer.forward(rng.normal(size=shape))
+    with pytest.raises(RuntimeError):
+        layer.backward(np.ones_like(out))
