@@ -55,7 +55,7 @@ from repro.core.scheduling import (
     WorkerSpec,
 )
 from repro.core.session import SessionOptions, SessionResult
-from repro.detection.boxes import Detection
+from repro.detection.boxes import Detections
 from repro.detection.teacher import TeacherDetector
 from repro.network.accounting import BandwidthAccountant
 from repro.network.link import LinkConfig, NetworkLink, SharedLink
@@ -912,7 +912,7 @@ class EdgeActor:
         self.accountant = accountant or BandwidthAccountant()
 
         self.evaluated_indices: list[int] = []
-        self.detections_per_frame: list[list[Detection]] = []
+        self.detections_per_frame: list[Detections] = []
         self.ground_truth_per_frame: list[list[GroundTruthBox]] = []
         self.domain_per_frame: list[str] = []
         self.rate_history: list[tuple[float, float]] = []

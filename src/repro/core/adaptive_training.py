@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.config import AdaptiveTrainingConfig
 from repro.core.replay_memory import ReplayItem, ReplayMemory
+from repro.detection.boxes import Detections
 from repro.detection.grid import GridTargets
 from repro.detection.student import StudentDetector
 from repro.nn.optim import SGD
@@ -203,7 +204,7 @@ class AdaptiveTrainer:
     def train_session(
         self,
         images: np.ndarray,
-        labels: list[list[GroundTruthBox]],
+        labels: list[list[GroundTruthBox]] | list[Detections],
     ) -> TrainingSessionReport:
         """Run one adaptive-training session on a batch of labeled frames."""
         if images.shape[0] != len(labels):

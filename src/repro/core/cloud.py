@@ -100,7 +100,7 @@ class CloudServer:
         controller = controller or self.controller
         domains = [schedule.domain_at(frame.index) for frame in frames]
         labeled = self.labeler.label_batch(frames, domains)
-        phi = compute_phi([list(item.detections) for item in labeled])
+        phi = compute_phi([item.detections for item in labeled])
         new_rate = controller.update(phi=phi, alpha=alpha, lambda_current=lambda_usage)
 
         gpu_seconds = self.labeler.gpu_seconds(len(frames))

@@ -20,8 +20,8 @@ import numpy as np
 from repro.core.adaptive_training import AdaptiveTrainer, TrainingSessionReport
 from repro.core.config import ShoggothConfig
 from repro.core.labeling import LabeledFrame
-from repro.core.sampling import estimate_alpha
-from repro.detection.boxes import Detection
+from repro.core.sampling import alpha_counts
+from repro.detection.boxes import Detections
 from repro.detection.student import StudentDetector
 from repro.runtime.device import EdgeComputeModel
 from repro.video.stream import Frame
@@ -66,22 +66,31 @@ class EdgeDevice:
         self.training_pool: list[LabeledFrame] = []
         self.training_windows: list[TrainingWindow] = []
         self._training_busy_until = 0.0
-        self._recent_detections: list[list[Detection]] = []
+        # α's running counts since the last report (see estimate_alpha)
+        self._alpha_confident = 0
+        self._alpha_total = 0
 
     # -- inference -----------------------------------------------------------
-    def detect(self, frame: Frame) -> list[Detection]:
-        """Run the student on one frame and remember the result for α."""
+    def detect(self, frame: Frame) -> Detections:
+        """Run the student on one frame and count the result towards α."""
         detections = self.student.detect(frame.image)
-        self._recent_detections.append(detections)
+        confident, total = alpha_counts(
+            detections, self.config.sampling.confidence_threshold
+        )
+        self._alpha_confident += confident
+        self._alpha_total += total
         return detections
 
     def estimated_alpha(self) -> float:
-        """α since the last report; the history is consumed by the call."""
-        alpha = estimate_alpha(
-            self._recent_detections, self.config.sampling.confidence_threshold
-        )
-        self._recent_detections = []
-        return alpha
+        """α since the last report, as :func:`estimate_alpha` defines it.
+
+        The call resets the counts.
+        """
+        confident, total = self._alpha_confident, self._alpha_total
+        self._alpha_confident = self._alpha_total = 0
+        if total == 0:
+            return 0.0
+        return confident / total
 
     # -- sampling ---------------------------------------------------------------
     def set_sampling_rate(self, rate_fps: float) -> None:

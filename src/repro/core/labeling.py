@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import LabelingConfig
-from repro.detection.boxes import Detection
+from repro.detection.boxes import Detections
 from repro.detection.teacher import TeacherDetector
 from repro.video.domains import Domain
-from repro.video.scene import GroundTruthBox
 from repro.video.stream import Frame
 
 __all__ = ["LabeledFrame", "OnlineLabeler"]
@@ -28,12 +27,16 @@ class LabeledFrame:
     """An uploaded frame together with its teacher pseudo-labels."""
 
     frame: Frame
-    detections: tuple[Detection, ...]
+    detections: Detections
 
     @property
-    def pseudo_labels(self) -> list[GroundTruthBox]:
-        """Positive training samples (Eq. 1: label 1 for detector outputs)."""
-        return [det.to_ground_truth() for det in self.detections]
+    def pseudo_labels(self) -> Detections:
+        """Positive training samples (Eq. 1: label 1 for detector outputs).
+
+        :meth:`GridCodec.encode` reads a detection's class and box as it
+        reads a ground-truth box's, and ignores the score.
+        """
+        return self.detections
 
     @property
     def num_boxes(self) -> int:
@@ -50,12 +53,9 @@ class OnlineLabeler:
 
     def label_frame(self, frame: Frame, domain: Domain) -> LabeledFrame:
         """Label one frame; detections below the confidence floor are dropped."""
-        detections = [
-            det
-            for det in self.teacher.detect(frame, domain)
-            if det.score >= self.config.min_teacher_confidence
-        ]
-        return LabeledFrame(frame=frame, detections=tuple(detections))
+        detections = self.teacher.detect(frame, domain)
+        confident = detections.scores >= self.config.min_teacher_confidence
+        return LabeledFrame(frame=frame, detections=detections[confident])
 
     def label_batch(self, frames: list[Frame], domains: list[Domain]) -> list[LabeledFrame]:
         """Label an uploaded batch of frames."""

@@ -29,11 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import SamplingConfig
-from repro.detection.boxes import Detection
+from repro.detection.boxes import Detection, Detections, as_detections
 from repro.detection.metrics import label_consistency_loss
 from repro.video.scene import GroundTruthBox
 
-__all__ = ["SamplingSignals", "compute_phi", "estimate_alpha", "SamplingRateController"]
+__all__ = [
+    "SamplingSignals",
+    "compute_phi",
+    "alpha_counts",
+    "estimate_alpha",
+    "SamplingRateController",
+]
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,7 @@ class SamplingSignals:
 
 
 def compute_phi(
-    labels_per_frame: list[list[Detection]] | list[list[GroundTruthBox]],
+    labels_per_frame: list[Detections] | list[list[Detection]] | list[list[GroundTruthBox]],
     iou_threshold: float = 0.3,
 ) -> float:
     """Mean scene-change score φ̄ over a batch of consecutively-sampled frames.
@@ -72,25 +78,37 @@ def compute_phi(
     return float(np.mean(values))
 
 
+def alpha_counts(
+    detections: Detections | list[Detection], confidence_threshold: float
+) -> tuple[int, int]:
+    """One frame's ``(confident, total)`` predictions towards α.
+
+    A frame with no predictions counts as one "inaccurate" pseudo-prediction,
+    so a model that stops detecting anything (typical under drift) drives α
+    down instead of leaving it undefined.
+    """
+    if not len(detections):
+        return 0, 1
+    scores = as_detections(detections).scores
+    return int(np.count_nonzero(scores >= confidence_threshold)), scores.size
+
+
 def estimate_alpha(
-    detections_per_frame: list[list[Detection]], confidence_threshold: float = 0.5
+    detections_per_frame: list[Detections] | list[list[Detection]],
+    confidence_threshold: float = 0.5,
 ) -> float:
     """Estimated accuracy α: fraction of predictions above the threshold θ.
 
-    Frames with no predictions contribute an "inaccurate" pseudo-prediction,
-    so a model that stops detecting anything (typical under drift) drives α
-    down instead of leaving it undefined.
+    Each frame counts as :func:`alpha_counts` says.
     """
     if not 0.0 < confidence_threshold < 1.0:
         raise ValueError("confidence_threshold must be in (0, 1)")
     confident = 0
     total = 0
     for detections in detections_per_frame:
-        if not detections:
-            total += 1
-            continue
-        total += len(detections)
-        confident += sum(1 for det in detections if det.score >= confidence_threshold)
+        frame_confident, frame_total = alpha_counts(detections, confidence_threshold)
+        confident += frame_confident
+        total += frame_total
     if total == 0:
         return 0.0
     return confident / total

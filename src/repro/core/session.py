@@ -27,7 +27,7 @@ from repro.core.adaptive_training import AdaptiveTrainer, TrainingSessionReport
 from repro.core.cloud import CloudServer
 from repro.core.config import ShoggothConfig
 from repro.core.edge import EdgeDevice, TrainingWindow
-from repro.detection.boxes import Detection
+from repro.detection.boxes import Detections
 from repro.detection.student import StudentDetector
 from repro.detection.teacher import TeacherDetector
 from repro.network.accounting import BandwidthAccountant, BandwidthSummary
@@ -77,7 +77,7 @@ class SessionResult:
     strategy_name: str
     dataset_name: str
     evaluated_frame_indices: list[int]
-    detections_per_frame: list[list[Detection]]
+    detections_per_frame: list[Detections]
     ground_truth_per_frame: list[list[GroundTruthBox]]
     domain_per_frame: list[str]
     bandwidth: BandwidthSummary

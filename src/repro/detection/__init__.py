@@ -16,6 +16,8 @@ Implements the full detection tool-chain the paper's evaluation relies on:
 
 from repro.detection.boxes import (
     Detection,
+    Detections,
+    as_detections,
     iou_xyxy,
     iou_matrix,
     nms,
@@ -25,6 +27,7 @@ from repro.detection.grid import GridCodec, GridTargets
 from repro.detection.student import StudentDetector, StudentConfig
 from repro.detection.teacher import TeacherDetector, TeacherConfig
 from repro.detection.metrics import (
+    FrameMatches,
     average_precision,
     evaluate_map,
     evaluate_average_iou,
@@ -36,6 +39,8 @@ from repro.detection.pretrain import pretrain_student, generate_offline_dataset
 
 __all__ = [
     "Detection",
+    "Detections",
+    "as_detections",
     "iou_xyxy",
     "iou_matrix",
     "nms",
@@ -46,6 +51,7 @@ __all__ = [
     "StudentConfig",
     "TeacherDetector",
     "TeacherConfig",
+    "FrameMatches",
     "average_precision",
     "evaluate_map",
     "evaluate_average_iou",

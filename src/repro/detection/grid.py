@@ -11,16 +11,17 @@ predicts:
 
 The codec converts between ground-truth box lists and the dense target
 tensors used by the training loss, and decodes raw network output maps into
-:class:`~repro.detection.boxes.Detection` lists.
+:class:`~repro.detection.boxes.Detections`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.detection.boxes import Detection, nms
+from repro.detection.boxes import Detection, Detections, nms_keep
 from repro.nn.functional import sigmoid
 from repro.video.domains import NUM_CLASSES
 from repro.video.scene import GroundTruthBox
@@ -63,8 +64,10 @@ class GridCodec:
         self.grid_size = grid_size
 
     # -- encoding -----------------------------------------------------------
-    def encode(self, boxes: list[GroundTruthBox] | tuple[GroundTruthBox, ...]) -> GridTargets:
-        """Build dense targets from a list of ground-truth (or pseudo-label) boxes."""
+    def encode(
+        self, boxes: Sequence[GroundTruthBox] | Sequence[Detection] | Detections
+    ) -> GridTargets:
+        """Build dense targets from ground-truth boxes or pseudo-label detections."""
         s = self.grid_size
         objectness = np.zeros((s, s), dtype=np.float64)
         class_ids = np.zeros((s, s), dtype=np.int64)
@@ -93,10 +96,11 @@ class GridCodec:
         return GridTargets(objectness, class_ids, box_targets)
 
     def encode_batch(
-        self, boxes_per_image: list[list[GroundTruthBox]] | list[tuple[GroundTruthBox, ...]]
+        self,
+        boxes_per_image: Sequence[Sequence[GroundTruthBox] | Sequence[Detection] | Detections],
     ) -> list[GridTargets]:
         """Encode a batch of images' boxes."""
-        return [self.encode(list(boxes)) for boxes in boxes_per_image]
+        return [self.encode(boxes) for boxes in boxes_per_image]
 
     # -- decoding -----------------------------------------------------------
     def decode(
@@ -105,7 +109,7 @@ class GridCodec:
         conf_threshold: float = 0.5,
         nms_iou: float = 0.45,
         max_detections: int = 20,
-    ) -> list[Detection]:
+    ) -> Detections:
         """Convert one raw output map ``(CELL_CHANNELS, S, S)`` into detections."""
         s = self.grid_size
         if output_map.shape != (CELL_CHANNELS, s, s):
@@ -113,45 +117,38 @@ class GridCodec:
                 f"expected output map of shape {(CELL_CHANNELS, s, s)}, got {output_map.shape}"
             )
         obj_prob = sigmoid(output_map[0])
-        class_logits = output_map[1 : 1 + NUM_CLASSES]
-        # softmax over the class axis
+        # every candidate cell at once, in the row-major order np.where
+        # yields; elementwise ufuncs give each cell the bits a per-cell
+        # scalar computation would, and the class-axis reductions of the
+        # softmax add the same terms in the same order as over the grid
+        rows, cols = np.where(obj_prob >= conf_threshold)
+        class_logits = output_map[1 : 1 + NUM_CLASSES, rows, cols]
         shifted = class_logits - class_logits.max(axis=0, keepdims=True)
         class_prob = np.exp(shifted)
         class_prob /= class_prob.sum(axis=0, keepdims=True)
-        box_raw = output_map[1 + NUM_CLASSES :]
+        class_ids = class_prob.argmax(axis=0)
+        scores = obj_prob[rows, cols] * class_prob[class_ids, np.arange(rows.size)]
+        cells = output_map[1 + NUM_CLASSES :, rows, cols]
+        offsets = sigmoid(cells[:2])
+        sizes = np.exp(np.clip(cells[2:], -6.0, 3.0)) / s
 
-        # every candidate cell at once, in the row-major order np.where
-        # yields; elementwise ufuncs give each cell the bits a per-cell
-        # scalar computation would
-        rows, cols = np.where(obj_prob >= conf_threshold)
-        cell_probs = class_prob[:, rows, cols]
-        class_ids = cell_probs.argmax(axis=0)
-        scores = obj_prob[rows, cols] * cell_probs[class_ids, np.arange(rows.size)]
-        cells = box_raw[:, rows, cols]
-        dxs = sigmoid(cells[0])
-        dys = sigmoid(cells[1])
-        ws = np.exp(np.clip(cells[2], -6.0, 3.0)) / s
-        hs = np.exp(np.clip(cells[3], -6.0, 3.0)) / s
-
-        detections: list[Detection] = []
-        for row, col, class_id, score, dx, dy, w, h in zip(
-            rows, cols, class_ids.tolist(), scores.tolist(), dxs.tolist(),
-            dys.tolist(), ws.tolist(), hs.tolist(),
-        ):
-            if score < conf_threshold * 0.5 or w <= 0 or h <= 0:
-                continue
-            detections.append(
-                Detection(
-                    class_id=class_id,
-                    cx=(col + dx) / s,
-                    cy=(row + dy) / s,
-                    w=w,
-                    h=h,
-                    score=min(1.0, score),
-                )
+        # a handful of candidates a frame: filtering and NMS cost less in
+        # Python, over one tolist() per column, than NumPy calls would
+        floor = conf_threshold * 0.5
+        candidates = [
+            (class_id, cx, cy, w, h, min(1.0, score))
+            for class_id, cx, cy, w, h, score in zip(
+                class_ids.tolist(),
+                ((cols + offsets[0]) / s).tolist(),
+                ((rows + offsets[1]) / s).tolist(),
+                sizes[0].tolist(),
+                sizes[1].tolist(),
+                scores.tolist(),
             )
-        detections = nms(detections, nms_iou)
-        return detections[:max_detections]
+            if not (score < floor or w <= 0 or h <= 0)
+        ]
+        keep = nms_keep(candidates, nms_iou)[:max_detections]
+        return Detections.from_rows([candidates[i] for i in keep])
 
     # -- raw target helpers used by the loss -------------------------------
     def targets_to_arrays(

@@ -4,26 +4,43 @@ The paper's evaluation reports mAP@0.5 (Table I, II), average IoU of
 inference (Table III) and the cumulative distribution of per-frame mAP gain
 over Edge-Only (Figure 5).  This module implements all three against the
 synthetic ground truth.
+
+Each frame is matched to its ground truth once, by :class:`FrameMatches`;
+every metric, and every window of the windowed mAP, reads its records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from repro.detection.boxes import Detection, iou_matrix, match_greedy
+from repro.detection.boxes import (
+    Detection,
+    Detections,
+    as_detections,
+    greedy_matches,
+    iou_matrix,
+    pair_iou,
+    xyxy,
+)
 from repro.video.domains import NUM_CLASSES
 from repro.video.scene import GroundTruthBox
 
 __all__ = [
     "MAPResult",
+    "FrameMatches",
     "average_precision",
     "evaluate_map",
     "evaluate_average_iou",
     "windowed_map",
     "label_consistency_loss",
 ]
+
+#: one frame's detections: a :class:`Detections` or a list of records
+FrameDetections = Detections | Sequence[Detection]
 
 
 @dataclass(frozen=True)
@@ -69,88 +86,209 @@ def average_precision(
     return float(np.sum(np.diff(recall[:-1]) * precision[1:-1]))
 
 
-def _accumulate_matches(
-    detections_per_frame: list[list[Detection]],
-    ground_truth_per_frame: list[list[GroundTruthBox]] | list[tuple[GroundTruthBox, ...]],
-    iou_threshold: float,
-) -> tuple[dict[int, list[tuple[float, bool]]], dict[int, int]]:
-    """Per-class (score, is_tp) records and GT counts over a set of frames."""
-    records: dict[int, list[tuple[float, bool]]] = {c: [] for c in range(NUM_CLASSES)}
-    gt_counts: dict[int, int] = {c: 0 for c in range(NUM_CLASSES)}
+@dataclass(frozen=True)
+class _Records:
+    """Per-detection and per-GT records of every frame, concatenated in frame order."""
 
-    for detections, ground_truth in zip(detections_per_frame, ground_truth_per_frame):
-        ground_truth = list(ground_truth)
-        for gt in ground_truth:
-            gt_counts[gt.class_id] += 1
-        matches = match_greedy(detections, ground_truth, iou_threshold=iou_threshold)
-        matched_dets = {det_idx for det_idx, _, _ in matches}
-        for det_idx, det in enumerate(detections):
-            records[det.class_id].append((det.score, det_idx in matched_dets))
-    return records, gt_counts
+    det_classes: np.ndarray
+    det_scores: np.ndarray
+    det_tp: np.ndarray
+    #: frame f's detections are ``det_*[det_start[f]:det_start[f + 1]]``
+    det_start: np.ndarray
+    gt_classes: np.ndarray
+    #: each GT box's best IoU with any detection of its frame (0 if none)
+    gt_best_iou: np.ndarray
+    gt_start: np.ndarray
+
+
+class FrameMatches:
+    """Each frame's detections matched to its ground truth once, for every metric.
+
+    Matching runs on the first metric asked for and is kept for the
+    others.  Per detection it records the class, the score and whether
+    greedy matching at ``iou_threshold`` made it a true positive; per GT
+    box, the class and the best IoU with any of the frame's detections.
+    Records stay in frame order, then detection order, so one class's
+    records over any run of frames are the ones the per-frame metrics
+    would have collected, in the same order.
+    """
+
+    def __init__(
+        self,
+        detections_per_frame: Sequence[FrameDetections],
+        ground_truth_per_frame: Sequence[Sequence[GroundTruthBox]],
+        iou_threshold: float = 0.5,
+    ) -> None:
+        if len(detections_per_frame) != len(ground_truth_per_frame):
+            raise ValueError("detections and ground truth must cover the same frames")
+        self.detections_per_frame = detections_per_frame
+        self.ground_truth_per_frame = ground_truth_per_frame
+        self.iou_threshold = iou_threshold
+
+    def __len__(self) -> int:
+        return len(self.detections_per_frame)
+
+    @cached_property
+    def _records(self) -> _Records:
+        frames = [as_detections(d) for d in self.detections_per_frame]
+        truths = [list(gt) for gt in self.ground_truth_per_frame]
+        det_counts = np.array([len(d) for d in frames], dtype=np.int64)
+        gt_counts = np.array([len(gt) for gt in truths], dtype=np.int64)
+        det_start = np.concatenate(([0], np.cumsum(det_counts)))
+        gt_start = np.concatenate(([0], np.cumsum(gt_counts)))
+        det_classes = np.concatenate([np.zeros(0, np.int64), *(d.class_ids for d in frames)])
+        det_scores = np.concatenate([np.zeros(0), *(d.scores for d in frames)])
+        det_boxes = np.concatenate([np.zeros((0, 4)), *(d.boxes for d in frames)])
+        truth = [box for gt in truths for box in gt]
+        gt_classes = np.array([box.class_id for box in truth], dtype=np.int64)
+        gt_boxes = np.array([(box.cx, box.cy, box.w, box.h) for box in truth]).reshape(-1, 4)
+
+        # every frame's IoU matrix, row-major, in one elementwise pass:
+        # pair k of frame f is detection k // n_gt and GT box k % n_gt
+        pairs = det_counts * gt_counts
+        pair_frame = np.repeat(np.arange(len(frames)), pairs)
+        within = np.arange(pair_frame.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        per_row = gt_counts[pair_frame]
+        pair_det = det_start[pair_frame] + within // per_row
+        pair_gt = gt_start[pair_frame] + within % per_row
+        ious = pair_iou(xyxy(det_boxes)[pair_det], xyxy(gt_boxes)[pair_gt])
+        # max is exact, so the order the pairs are visited in is free
+        gt_best_iou = np.zeros(len(truth))
+        np.maximum.at(gt_best_iou, pair_gt, ious)
+
+        det_tp = [False] * len(det_classes)
+        scores, classes = det_scores.tolist(), det_classes.tolist()
+        truth_classes, iou_list = gt_classes.tolist(), ious.tolist()
+        pair = 0
+        for first, n_det, first_gt, n_gt in zip(
+            det_start.tolist(), det_counts.tolist(), gt_start.tolist(), gt_counts.tolist()
+        ):
+            if not n_det or not n_gt:
+                continue
+            rows = [iou_list[pair + i * n_gt : pair + (i + 1) * n_gt] for i in range(n_det)]
+            pair += n_det * n_gt
+            last = first + n_det
+            for det_idx, _, _ in greedy_matches(
+                scores[first:last],
+                classes[first:last],
+                truth_classes[first_gt : first_gt + n_gt],
+                rows,
+                self.iou_threshold,
+            ):
+                det_tp[first + det_idx] = True
+        return _Records(
+            det_classes=det_classes,
+            det_scores=det_scores,
+            det_tp=np.array(det_tp, dtype=bool),
+            det_start=det_start,
+            gt_classes=gt_classes,
+            gt_best_iou=gt_best_iou,
+            gt_start=gt_start,
+        )
+
+    def map_result(self, start: int = 0, stop: int | None = None) -> MAPResult:
+        """mAP over frames ``start:stop``; classes with no GT there are skipped."""
+        records = self._records
+        stop = len(self) if stop is None else stop
+        first, last = records.det_start[start], records.det_start[stop]
+        classes = records.det_classes[first:last]
+        scores = records.det_scores[first:last]
+        tps = records.det_tp[first:last]
+        gt_counts = np.bincount(
+            records.gt_classes[records.gt_start[start] : records.gt_start[stop]],
+            minlength=NUM_CLASSES,
+        ).tolist()
+
+        per_class_ap: dict[int, float] = {}
+        for class_id in range(NUM_CLASSES):
+            if gt_counts[class_id] == 0:
+                continue
+            mine = classes == class_id
+            per_class_ap[class_id] = average_precision(
+                scores[mine], tps[mine], gt_counts[class_id]
+            )
+        map50 = float(np.mean(list(per_class_ap.values()))) if per_class_ap else 0.0
+        return MAPResult(
+            map50=map50,
+            per_class_ap=per_class_ap,
+            num_ground_truth=sum(gt_counts),
+            num_detections=int(last - first),
+        )
+
+    def windowed_map(self, window: int) -> np.ndarray:
+        """mAP@``iou_threshold`` over each run of ``window`` consecutive frames."""
+        if window <= 0:
+            raise ValueError("window must be positive")
+        n = len(self)
+        return np.asarray(
+            [self.map_result(start, min(n, start + window)).map50 for start in range(0, n, window)]
+        )
+
+    def average_iou(self) -> float:
+        """Mean over GT boxes of the best IoU with any detection of the frame."""
+        records = self._records
+        best, gt_start, det_start = records.gt_best_iou, records.gt_start, records.det_start
+        total = 0.0
+        count = 0
+        for frame in range(len(self)):
+            first, last = gt_start[frame], gt_start[frame + 1]
+            if first == last:
+                continue
+            count += int(last - first)
+            if det_start[frame] == det_start[frame + 1]:
+                continue
+            total += float(best[first:last].sum())
+        if count == 0:
+            return 0.0
+        return total / count
+
+
+def _matched(
+    frames: Sequence[FrameDetections] | FrameMatches,
+    ground_truth_per_frame: Sequence[Sequence[GroundTruthBox]] | None,
+    iou_threshold: float | None,
+) -> FrameMatches:
+    """``frames`` if already matched, else the two per-frame lists matched."""
+    if isinstance(frames, FrameMatches):
+        if ground_truth_per_frame is not None:
+            raise ValueError("FrameMatches already holds its ground truth")
+        if iou_threshold is not None and iou_threshold != frames.iou_threshold:
+            raise ValueError("FrameMatches was matched at another IoU threshold")
+        return frames
+    return FrameMatches(
+        frames, ground_truth_per_frame, 0.5 if iou_threshold is None else iou_threshold
+    )
 
 
 def evaluate_map(
-    detections_per_frame: list[list[Detection]],
-    ground_truth_per_frame: list[list[GroundTruthBox]] | list[tuple[GroundTruthBox, ...]],
+    detections_per_frame: Sequence[FrameDetections] | FrameMatches,
+    ground_truth_per_frame: Sequence[Sequence[GroundTruthBox]] | None = None,
     iou_threshold: float = 0.5,
 ) -> MAPResult:
     """mAP@``iou_threshold`` over a set of frames.
 
     Classes with no ground truth in the evaluation set are skipped (not
-    counted as zero), following the usual mAP protocol.
+    counted as zero), following the usual mAP protocol.  Pass a
+    :class:`FrameMatches` alone to reuse its matching.
     """
-    if len(detections_per_frame) != len(ground_truth_per_frame):
-        raise ValueError("detections and ground truth must cover the same frames")
-    records, gt_counts = _accumulate_matches(
-        detections_per_frame, ground_truth_per_frame, iou_threshold
-    )
-
-    per_class_ap: dict[int, float] = {}
-    for class_id in range(NUM_CLASSES):
-        if gt_counts[class_id] == 0:
-            continue
-        class_records = records[class_id]
-        scores = np.array([score for score, _ in class_records])
-        tps = np.array([tp for _, tp in class_records], dtype=bool)
-        per_class_ap[class_id] = average_precision(scores, tps, gt_counts[class_id])
-
-    map50 = float(np.mean(list(per_class_ap.values()))) if per_class_ap else 0.0
-    return MAPResult(
-        map50=map50,
-        per_class_ap=per_class_ap,
-        num_ground_truth=sum(gt_counts.values()),
-        num_detections=sum(len(d) for d in detections_per_frame),
-    )
+    return _matched(detections_per_frame, ground_truth_per_frame, iou_threshold).map_result()
 
 
 def evaluate_average_iou(
-    detections_per_frame: list[list[Detection]],
-    ground_truth_per_frame: list[list[GroundTruthBox]] | list[tuple[GroundTruthBox, ...]],
+    detections_per_frame: Sequence[FrameDetections] | FrameMatches,
+    ground_truth_per_frame: Sequence[Sequence[GroundTruthBox]] | None = None,
 ) -> float:
     """Average IoU between ground-truth boxes and their best matching detection.
 
     Unmatched ground-truth boxes contribute an IoU of 0, so the metric rewards
     both localisation quality and coverage (Table III's "Average IoU").
     """
-    total = 0.0
-    count = 0
-    for detections, ground_truth in zip(detections_per_frame, ground_truth_per_frame):
-        ground_truth = list(ground_truth)
-        if not ground_truth:
-            continue
-        count += len(ground_truth)
-        if not detections:
-            continue
-        ious = iou_matrix(detections, ground_truth)
-        total += float(ious.max(axis=0).sum())
-    if count == 0:
-        return 0.0
-    return total / count
+    return _matched(detections_per_frame, ground_truth_per_frame, None).average_iou()
 
 
 def windowed_map(
-    detections_per_frame: list[list[Detection]],
-    ground_truth_per_frame: list[list[GroundTruthBox]] | list[tuple[GroundTruthBox, ...]],
+    detections_per_frame: Sequence[FrameDetections] | FrameMatches,
+    ground_truth_per_frame: Sequence[Sequence[GroundTruthBox]] | None = None,
     window: int = 30,
     iou_threshold: float = 0.5,
 ) -> np.ndarray:
@@ -160,24 +298,20 @@ def windowed_map(
     extremely noisy with a handful of objects, so we follow common practice
     and evaluate over short windows (default 30 frames = 1 s of video).
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    n = len(detections_per_frame)
-    values = []
-    for start in range(0, n, window):
-        stop = min(n, start + window)
-        result = evaluate_map(
-            detections_per_frame[start:stop],
-            ground_truth_per_frame[start:stop],
-            iou_threshold=iou_threshold,
-        )
-        values.append(result.map50)
-    return np.asarray(values)
+    return _matched(detections_per_frame, ground_truth_per_frame, iou_threshold).windowed_map(
+        window
+    )
+
+
+def _class_ids(labels: FrameDetections | Sequence[GroundTruthBox]) -> np.ndarray:
+    if isinstance(labels, Detections):
+        return labels.class_ids
+    return np.array([box.class_id for box in labels])
 
 
 def label_consistency_loss(
-    labels_current: list[Detection] | list[GroundTruthBox],
-    labels_previous: list[Detection] | list[GroundTruthBox],
+    labels_current: FrameDetections | Sequence[GroundTruthBox],
+    labels_previous: FrameDetections | Sequence[GroundTruthBox],
     iou_threshold: float = 0.5,
 ) -> float:
     """Dissimilarity between two label sets; the paper's φ signal.
@@ -189,14 +323,14 @@ def label_consistency_loss(
     counterpart in the other.  0 means identical labels (stationary scene),
     1 means completely different labels (fast-changing scene).
     """
-    if not labels_current and not labels_previous:
+    if not len(labels_current) and not len(labels_previous):
         return 0.0
-    if not labels_current or not labels_previous:
+    if not len(labels_current) or not len(labels_previous):
         return 1.0
 
     ious = iou_matrix(labels_current, labels_previous)
-    cur_classes = np.array([b.class_id for b in labels_current])
-    prev_classes = np.array([b.class_id for b in labels_previous])
+    cur_classes = _class_ids(labels_current)
+    prev_classes = _class_ids(labels_previous)
     same_class = cur_classes[:, None] == prev_classes[None, :]
     overlap = (ious >= iou_threshold) & same_class
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import nn
-from repro.detection.boxes import Detection
+from repro.detection.boxes import Detections
 from repro.detection.grid import CELL_CHANNELS, GridCodec, GridTargets
 from repro.nn.functional import sigmoid, softmax
 from repro.video.domains import NUM_CLASSES
@@ -220,7 +220,7 @@ class StudentDetector:
         self._check_images(images)
         return self.model.forward(images)
 
-    def detect(self, image: np.ndarray, conf_threshold: float | None = None) -> list[Detection]:
+    def detect(self, image: np.ndarray, conf_threshold: float | None = None) -> Detections:
         """Run inference on a single CHW image and decode detections."""
         threshold = conf_threshold if conf_threshold is not None else self.config.conf_threshold
         self._eval_mode()
@@ -229,7 +229,7 @@ class StudentDetector:
 
     def detect_batch(
         self, images: np.ndarray, conf_threshold: float | None = None
-    ) -> list[list[Detection]]:
+    ) -> list[Detections]:
         """Batched inference convenience used by evaluation code."""
         threshold = conf_threshold if conf_threshold is not None else self.config.conf_threshold
         self._eval_mode()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detection.boxes import Detection
+from repro.detection.boxes import Detections
 from repro.video.domains import Domain, NUM_CLASSES
 from repro.video.scene import GroundTruthBox
 from repro.video.stream import Frame
@@ -93,7 +93,7 @@ class TeacherDetector:
         return self.config.num_parameters
 
     # -- labeling -------------------------------------------------------------
-    def detect(self, frame: Frame, domain: Domain) -> list[Detection]:
+    def detect(self, frame: Frame, domain: Domain) -> Detections:
         """Produce pseudo-labels for one frame under the given domain."""
         cfg = self.config
         difficulty = domain.difficulty
@@ -101,27 +101,28 @@ class TeacherDetector:
         confusion = min(0.95, cfg.base_class_confusion + cfg.difficulty_class_confusion * difficulty)
         fp_rate = cfg.base_false_positive_rate + cfg.difficulty_false_positive_rate * difficulty
 
-        detections: list[Detection] = []
+        rows: list[tuple[int, float, float, float, float, float]] = []
         for box in frame.ground_truth:
             if self._rng.random() < miss_rate:
                 continue
-            detections.append(self._perturb(box, confusion))
+            rows.append(self._perturb(box, confusion))
 
         for _ in range(int(self._rng.poisson(fp_rate))):
-            detections.append(self._false_positive())
+            rows.append(self._false_positive())
 
-        return detections
+        return Detections.from_rows(rows)
 
-    def label_frames(
-        self, frames: list[Frame], domains: list[Domain]
-    ) -> list[list[Detection]]:
+    def label_frames(self, frames: list[Frame], domains: list[Domain]) -> list[Detections]:
         """Label a batch of frames (one domain per frame)."""
         if len(frames) != len(domains):
             raise ValueError("frames and domains must have the same length")
         return [self.detect(frame, domain) for frame, domain in zip(frames, domains)]
 
     # -- internals --------------------------------------------------------------
-    def _perturb(self, box: GroundTruthBox, confusion: float) -> Detection:
+    # each returns one ``(class_id, cx, cy, w, h, score)`` row
+    def _perturb(
+        self, box: GroundTruthBox, confusion: float
+    ) -> tuple[int, float, float, float, float, float]:
         cfg = self.config
         jitter = cfg.localization_jitter
         cx = float(np.clip(box.cx + self._rng.normal(0, jitter * box.w), 0.0, 1.0))
@@ -133,15 +134,16 @@ class TeacherDetector:
             choices = [c for c in range(NUM_CLASSES) if c != class_id]
             class_id = int(self._rng.choice(choices))
         score = float(self._rng.uniform(cfg.min_confidence, cfg.max_confidence))
-        return Detection(class_id=class_id, cx=cx, cy=cy, w=w, h=h, score=score)
+        return class_id, cx, cy, w, h, score
 
-    def _false_positive(self) -> Detection:
+    def _false_positive(self) -> tuple[int, float, float, float, float, float]:
         cfg = self.config
-        return Detection(
-            class_id=int(self._rng.integers(0, NUM_CLASSES)),
-            cx=float(self._rng.uniform(0.1, 0.9)),
-            cy=float(self._rng.uniform(0.1, 0.9)),
-            w=float(self._rng.uniform(0.08, 0.25)),
-            h=float(self._rng.uniform(0.06, 0.2)),
-            score=float(self._rng.uniform(cfg.min_confidence, 0.85)),
+        # the arguments are evaluated, and so drawn, left to right
+        return (
+            int(self._rng.integers(0, NUM_CLASSES)),
+            float(self._rng.uniform(0.1, 0.9)),
+            float(self._rng.uniform(0.1, 0.9)),
+            float(self._rng.uniform(0.08, 0.25)),
+            float(self._rng.uniform(0.06, 0.2)),
+            float(self._rng.uniform(cfg.min_confidence, 0.85)),
         )

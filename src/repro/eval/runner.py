@@ -18,6 +18,7 @@ from repro.core.scheduling import PlacementPolicy, WorkerSpec
 from repro.core.session import SessionResult
 from repro.core.strategies import Strategy, build_strategy
 from repro.detection.metrics import (
+    FrameMatches,
     evaluate_average_iou,
     evaluate_map,
     windowed_map,
@@ -162,15 +163,11 @@ def _score_session(
     session: SessionResult, dataset_name: str, settings: ExperimentSettings
 ) -> StrategyRunResult:
     """Turn a raw session outcome into the reported metric bundle."""
-    map_result = evaluate_map(session.detections_per_frame, session.ground_truth_per_frame)
-    avg_iou = evaluate_average_iou(
-        session.detections_per_frame, session.ground_truth_per_frame
-    )
-    windows = windowed_map(
-        session.detections_per_frame,
-        session.ground_truth_per_frame,
-        window=settings.map_window,
-    )
+    # matched once, by whichever metric runs first
+    frames = FrameMatches(session.detections_per_frame, session.ground_truth_per_frame)
+    map_result = evaluate_map(frames)
+    avg_iou = evaluate_average_iou(frames)
+    windows = windowed_map(frames, window=settings.map_window)
     return StrategyRunResult(
         strategy=session.strategy_name,
         dataset=dataset_name,

@@ -7,6 +7,7 @@ collaborative pipeline.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -17,10 +18,17 @@ from repro.core import (
     SessionOptions,
     ShoggothConfig,
     build_strategy,
+    estimate_alpha,
     STRATEGIES,
 )
 from repro.core.strategies import FixedRateShoggothStrategy
-from repro.detection import StudentConfig, StudentDetector, TeacherConfig, TeacherDetector
+from repro.detection import (
+    Detections,
+    StudentConfig,
+    StudentDetector,
+    TeacherConfig,
+    TeacherDetector,
+)
 from repro.video import build_dataset
 from repro.video.datasets import make_stationary
 
@@ -96,6 +104,36 @@ class TestEdgeDevice:
         first = edge.estimated_alpha()
         assert 0.0 <= first <= 1.0
         assert edge.estimated_alpha() == 0.0  # history consumed
+
+    def test_alpha_counts_equal_estimate_alpha(self):
+        """The running counts give estimate_alpha's value over the same frames."""
+        rng = np.random.default_rng(3)
+        stream = []
+        for index in range(60):
+            count = 0 if index % 7 == 0 else int(rng.integers(1, 6))
+            scores = rng.choice([0.2, 0.35, 0.5, 0.9], size=count)  # 0.35 is θ itself
+            stream.append(
+                Detections(np.zeros(count, dtype=int), np.full((count, 4), 0.1), scores)
+            )
+
+        class ScriptedStudent:
+            def __init__(self):
+                self.frames = iter(stream)
+
+            def detect(self, image):
+                return next(self.frames)
+
+        config = ShoggothConfig().with_sampling(confidence_threshold=0.35)
+        edge = EdgeDevice(ScriptedStudent(), config=config)
+        frame = make_stationary(num_frames=1).build().collect()[0]
+        start = 0
+        for stop in (1, 7, 8, 30, 60):
+            for _ in range(start, stop):
+                edge.detect(frame)
+            expected = estimate_alpha(stream[start:stop], 0.35)
+            assert edge.estimated_alpha().hex() == expected.hex()
+            start = stop
+        assert edge.estimated_alpha() == estimate_alpha([], 0.35) == 0.0
 
     def test_training_without_trainer_raises(self, student):
         edge = EdgeDevice(student.clone(), config=ShoggothConfig())

@@ -164,6 +164,11 @@ class TestAverageIoU:
     def test_empty_frames(self):
         assert evaluate_average_iou([[]], [[]]) == 0.0
 
+    def test_length_mismatch_raises(self):
+        # the second frame's box was never detected; it must not be dropped
+        with pytest.raises(ValueError, match="same frames"):
+            evaluate_average_iou([[det()]], [[gt()], [gt()]])
+
 
 class TestWindowedMAP:
     def test_window_count(self):
@@ -176,6 +181,10 @@ class TestWindowedMAP:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             windowed_map([], [], window=0)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="same frames"):
+            windowed_map([[det()]], [[gt()], [gt()]], window=30)
 
 
 class TestLabelConsistency:

@@ -3,16 +3,18 @@
 ``GridCodec.decode`` computes every candidate cell's class, score and box
 at once; ``nms`` computes each box's corners once.  Both are compared
 with reference copies of the per-cell and per-pair code they replaced:
-the same detections, in the same order, with the same float bits and the
-same Python/NumPy scalar types.
+the same detections, in the same order, with the same float bits, held
+in a ``Detections`` of int64 class ids and float64 boxes and scores.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
 
-from repro.detection import Detection, GridCodec
+from repro.detection import Detection, Detections, GridCodec
 from repro.detection.boxes import iou_xyxy, nms
 from repro.detection.grid import CELL_CHANNELS
 from repro.nn.functional import sigmoid
@@ -67,21 +69,18 @@ def reference_decode(output_map, s, conf_threshold=0.5, nms_iou=0.45, max_detect
 
 
 def fields(detection):
-    """Every field with its type and exact bits."""
-    return [
-        (type(value), value.hex() if isinstance(value, float) else value)
-        for value in (
-            detection.class_id,
-            detection.cx,
-            detection.cy,
-            detection.w,
-            detection.h,
-            detection.score,
-        )
+    """Every field: the class as an int, the floats as their exact bits."""
+    return [operator.index(detection.class_id)] + [
+        float(value).hex()
+        for value in (detection.cx, detection.cy, detection.w, detection.h, detection.score)
     ]
 
 
 def assert_same_detections(actual, expected):
+    """``actual`` is a ``Detections`` holding the reference records' bits."""
+    assert isinstance(actual, Detections)
+    assert actual.class_ids.dtype == np.int64
+    assert actual.boxes.dtype == actual.scores.dtype == np.float64
     assert [fields(d) for d in actual] == [fields(d) for d in expected]
 
 

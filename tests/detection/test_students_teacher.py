@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.detection import (
+    Detections,
     GridCodec,
     StudentConfig,
     StudentDetector,
@@ -105,7 +106,7 @@ class TestStudentDetector:
     def test_detect_returns_detections(self):
         student = StudentDetector(StudentConfig(seed=1))
         detections = student.detect(np.random.default_rng(0).random((3, 32, 32)), conf_threshold=0.01)
-        assert isinstance(detections, list)
+        assert isinstance(detections, Detections)
 
     def test_clone_preserves_outputs(self):
         student = StudentDetector(StudentConfig(seed=1))
