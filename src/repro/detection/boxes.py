@@ -8,6 +8,7 @@ yields them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -47,9 +48,12 @@ class Detection:
     score: float
 
     def __post_init__(self) -> None:
+        # each check passes only what it accepts, so NaN fails it
         if not 0 <= self.class_id < NUM_CLASSES:
             raise ValueError(f"class_id out of range: {self.class_id}")
-        if self.w <= 0 or self.h <= 0:
+        if not all(map(math.isfinite, (self.cx, self.cy, self.w, self.h))):
+            raise ValueError("detection box must be finite")
+        if not (self.w > 0 and self.h > 0):
             raise ValueError("detection width/height must be positive")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
@@ -91,7 +95,9 @@ class Detections:
             raise ValueError("class_ids, boxes and scores must describe the same boxes")
         if np.count_nonzero((class_ids < 0) | (class_ids >= NUM_CLASSES)):
             raise ValueError(f"class_id out of range: {class_ids.tolist()}")
-        if np.count_nonzero(boxes[:, 2:] <= 0.0):
+        if np.count_nonzero(~np.isfinite(boxes)):
+            raise ValueError("detection boxes must be finite")
+        if np.count_nonzero(~(boxes[:, 2:] > 0.0)):
             raise ValueError("detection width/height must be positive")
         if np.count_nonzero(~((scores >= 0.0) & (scores <= 1.0))):
             raise ValueError(f"score must be in [0, 1], got {scores.tolist()}")

@@ -17,6 +17,7 @@ tensors used by the training loss, and decodes raw network output maps into
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -133,10 +134,15 @@ class GridCodec:
         sizes = np.exp(np.clip(cells[2:], -6.0, 3.0)) / s
 
         # a handful of candidates a frame: filtering and NMS cost less in
-        # Python, over one tolist() per column, than NumPy calls would
+        # Python, over one tolist() per column, than NumPy calls would.
+        # The comparisons are written so that NaN fails them: a non-finite
+        # class logit makes the softmax NaN, and a NaN box channel a NaN
+        # centre or size, and such a candidate is dropped.  The size is
+        # clipped, and the score is a product of two probabilities, so
+        # neither can be infinite or above 1.
         floor = conf_threshold * 0.5
         candidates = [
-            (class_id, cx, cy, w, h, min(1.0, score))
+            (class_id, cx, cy, w, h, score)
             for class_id, cx, cy, w, h, score in zip(
                 class_ids.tolist(),
                 ((cols + offsets[0]) / s).tolist(),
@@ -145,7 +151,7 @@ class GridCodec:
                 sizes[1].tolist(),
                 scores.tolist(),
             )
-            if not (score < floor or w <= 0 or h <= 0)
+            if score >= floor and w > 0 and h > 0 and isfinite(cx) and isfinite(cy)
         ]
         keep = nms_keep(candidates, nms_iou)[:max_detections]
         return Detections.from_rows([candidates[i] for i in keep])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.detection import (
     Detection,
+    Detections,
     average_precision,
     evaluate_average_iou,
     evaluate_map,
@@ -28,6 +29,31 @@ def det(class_id=0, cx=0.5, cy=0.5, w=0.2, h=0.2, score=0.9):
 
 def gt(class_id=0, cx=0.5, cy=0.5, w=0.2, h=0.2):
     return GroundTruthBox(class_id=class_id, cx=cx, cy=cy, w=w, h=h)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "field", [{"w": float("nan")}, {"h": float("nan")}, {"cx": float("nan")},
+                  {"cy": float("inf")}, {"w": float("inf")}, {"w": 0.0},
+                  {"score": float("nan")}, {"score": 1.5}, {"class_id": -1}],
+    )
+    def test_detection_rejects(self, field):
+        with pytest.raises(ValueError):
+            det(**field)
+        values = {"class_id": 0, "cx": 0.5, "cy": 0.5, "w": 0.2, "h": 0.2, "score": 0.9}
+        values.update(field)
+        row = tuple(values[k] for k in ("class_id", "cx", "cy", "w", "h", "score"))
+        with pytest.raises(ValueError):
+            Detections.from_rows([(0, 0.5, 0.5, 0.2, 0.2, 0.9), row])
+
+    def test_detections_round_trip(self):
+        records = [det(), det(class_id=2, cx=0.3, score=0.4)]
+        detections = Detections.from_rows(
+            (d.class_id, d.cx, d.cy, d.w, d.h, d.score) for d in records
+        )
+        assert list(detections) == records and detections[1] == records[1]
+        assert len(detections[detections.scores > 0.5]) == 1
+        assert not detections.boxes.flags.writeable
 
 
 class TestIoU:

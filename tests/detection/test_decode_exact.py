@@ -84,6 +84,20 @@ def assert_same_detections(actual, expected):
     assert [fields(d) for d in actual] == [fields(d) for d in expected]
 
 
+def finite_cells_only(output_map):
+    """The map with every cell whose decode is not finite made a non-candidate.
+
+    A non-finite class logit makes the cell's softmax NaN, and a NaN box
+    channel its centre or size; ``decode`` drops such candidates, which
+    the reference keeps.
+    """
+    bad = ~np.isfinite(output_map[1 : 1 + NUM_CLASSES]).all(axis=0)
+    bad |= np.isnan(output_map[1 + NUM_CLASSES :]).any(axis=0)
+    cleaned = output_map.copy()
+    cleaned[0][bad] = -np.inf
+    return cleaned
+
+
 def output_maps(rng, s):
     """Typical maps, dense/empty candidate sets, saturating and NaN cells."""
     for scale in (1.0, 3.0, 12.0):
@@ -113,7 +127,7 @@ def test_decode_matches_scalar_reference(grid_size, conf_threshold):
         for nms_iou, max_detections in ((0.45, 20), (0.3, 5), (1.0, 64)):
             actual = codec.decode(output_map, conf_threshold, nms_iou, max_detections)
             expected = reference_decode(
-                output_map, grid_size, conf_threshold, nms_iou, max_detections
+                finite_cells_only(output_map), grid_size, conf_threshold, nms_iou, max_detections
             )
             assert_same_detections(actual, expected)
 
@@ -168,3 +182,31 @@ def test_nms_matches_reference(iou_threshold):
         assert_same_detections(
             nms(detections, iou_threshold), reference_nms(detections, iou_threshold)
         )
+
+
+def test_decode_drops_non_finite_candidates():
+    """An infinite class logit or a NaN box channel yields no detection.
+
+    An inf logit used to make the softmax NaN, which passed the score
+    floor and was clamped to a phantom score of 1.0.
+    """
+    codec = GridCodec(4)
+    output_map = np.full((CELL_CHANNELS, 4, 4), -8.0)
+    output_map[1 + NUM_CLASSES :] = 0.0
+    clean = (0, 0)
+    output_map[0, 0, 0] = output_map[0, 1, 1] = output_map[0, 2, 2] = 8.0
+    output_map[1, 0, 0] = 8.0  # a clean candidate of class 0
+    output_map[2, 1, 1] = np.inf  # inf class logit
+    output_map[1, 2, 2] = 8.0
+    output_map[1 + NUM_CLASSES, 2, 2] = np.nan  # NaN centre offset
+    output_map[0, 3, 3] = 8.0
+    output_map[1, 3, 3] = 8.0
+    output_map[-1, 3, 3] = np.nan  # NaN height
+    with np.errstate(invalid="ignore"):  # inf - inf in the softmax shift
+        detections = codec.decode(output_map, conf_threshold=0.5)
+    assert len(detections) == 1
+    assert (detections.class_ids.tolist(), detections.boxes[:, :2].tolist()) == (
+        [0],
+        [[(clean[1] + 0.5) / 4, (clean[0] + 0.5) / 4]],
+    )
+    assert np.isfinite(detections.boxes).all() and (detections.scores < 1.0).all()
