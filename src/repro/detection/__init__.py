@@ -2,7 +2,8 @@
 
 Implements the full detection tool-chain the paper's evaluation relies on:
 
-* box geometry, IoU and non-maximum suppression (:mod:`repro.detection.boxes`),
+* a frame's detections as arrays (``Detections``), box geometry, IoU and
+  non-maximum suppression (:mod:`repro.detection.boxes`),
 * a grid-cell target codec shared by the student model and its losses
   (:mod:`repro.detection.grid`),
 * the lightweight **student** detector that runs on the edge device
@@ -10,7 +11,8 @@ Implements the full detection tool-chain the paper's evaluation relies on:
 * the high-capacity **teacher** detector that produces online labels in the
   cloud (:mod:`repro.detection.teacher`), a stand-in for Mask R-CNN /
   ResNeXt-101 modelled as a near-oracle with calibrated noise,
-* mAP@0.5 / average-IoU evaluation metrics (:mod:`repro.detection.metrics`),
+* mAP@0.5 / average-IoU evaluation metrics over frames matched once
+  (:mod:`repro.detection.metrics`),
 * offline pre-training of the student (:mod:`repro.detection.pretrain`).
 """
 

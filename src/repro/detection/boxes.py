@@ -147,13 +147,8 @@ class Detections:
         return subset
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Detections):
-            return (
-                np.array_equal(self.class_ids, other.class_ids)
-                and np.array_equal(self.boxes, other.boxes)
-                and np.array_equal(self.scores, other.scores)
-            )
-        if isinstance(other, (list, tuple)):
+        """Equal to a ``Detections`` or sequence of the same records, in order."""
+        if isinstance(other, (Detections, list, tuple)):
             return list(self) == list(other)
         return NotImplemented
 
@@ -203,15 +198,19 @@ def iou_xyxy(a: tuple[float, float, float, float], b: tuple[float, float, float,
 
 
 def pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of corner boxes ``a[k]`` and ``b[k]`` for every ``k`` (both ``(p, 4)``)."""
-    x1 = np.maximum(a[:, 0], b[:, 0])
-    y1 = np.maximum(a[:, 1], b[:, 1])
-    x2 = np.minimum(a[:, 2], b[:, 2])
-    y2 = np.minimum(a[:, 3], b[:, 3])
+    """Elementwise IoU of corner boxes ``a[..., :]`` and ``b[..., :]``.
+
+    The leading axes broadcast: two ``(p, 4)`` arrays give ``p`` pairs, an
+    ``(n, 1, 4)`` and a ``(1, m, 4)`` array the ``(n, m)`` matrix.
+    """
+    x1 = np.maximum(a[..., 0], b[..., 0])
+    y1 = np.maximum(a[..., 1], b[..., 1])
+    x2 = np.minimum(a[..., 2], b[..., 2])
+    y2 = np.minimum(a[..., 3], b[..., 3])
     inter = np.clip(x2 - x1, 0, None) * np.clip(y2 - y1, 0, None)
 
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a + area_b - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(union > 0, inter / union, 0.0)
@@ -222,12 +221,9 @@ def iou_matrix(
     ground_truth: Sequence[GroundTruthBox] | Detections | Sequence[Detection],
 ) -> np.ndarray:
     """Pairwise IoU matrix with shape ``(len(detections), len(ground_truth))``."""
-    n, m = len(detections), len(ground_truth)
-    if not n or not m:
-        return np.zeros((n, m))
-    return pair_iou(
-        np.repeat(_corners(detections), m, axis=0), np.tile(_corners(ground_truth), (n, 1))
-    ).reshape(n, m)
+    if not len(detections) or not len(ground_truth):
+        return np.zeros((len(detections), len(ground_truth)))
+    return pair_iou(_corners(detections)[:, None], _corners(ground_truth)[None, :])
 
 
 def nms_keep(rows: Sequence[Row], iou_threshold: float) -> list[int]:

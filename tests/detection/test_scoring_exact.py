@@ -178,9 +178,14 @@ def teacher_frames(rng, num_frames=90):
 
 
 def edge_case_frames():
-    """Empty frames, GT-free frames, tied scores, and one box under two classes."""
+    """Frames that stress the match and the sums.
+
+    Empty and GT-free frames, tied scores, tied IoUs, one box under two
+    classes, and crowded frames whose best IoUs add up in many terms.
+    """
     box = (0.5, 0.5, 0.25, 0.25)
     beside = (0.625, 0.5, 0.25, 0.25)
+    left, right = (0.375, 0.5, 0.25, 0.25), (0.625, 0.5, 0.25, 0.25)
     rows = [
         [],  # nothing detected
         [(0, *box, 0.9), (1, *box, 0.9)],  # same box, two classes, tied
@@ -188,6 +193,9 @@ def edge_case_frames():
         [(2, *box, 0.7)],  # no GT in this frame
         [(0, *box, 0.6), (1, *beside, 0.6), (1, *box, 0.5)],
         [],
+        # overlaps left and right equally (IoU 1/3): the first GT box
+        # wins, which leaves the lower-scored box on it unmatched
+        [(1, *box, 0.9), (1, *left, 0.8)],
     ]
     ground_truth = [
         [GroundTruthBox(0, *box)],
@@ -196,7 +204,19 @@ def edge_case_frames():
         [],
         [GroundTruthBox(1, *box), GroundTruthBox(0, *beside), GroundTruthBox(3, *box)],
         [],
+        [GroundTruthBox(1, *left), GroundTruthBox(1, *right)],
     ]
+    rng = np.random.default_rng(11)
+    for count in (8, 13, 20):
+        truth = random_ground_truth(rng, count)
+        ground_truth.append(truth)
+        rows.append(
+            [
+                (gt.class_id, gt.cx + rng.normal(0.0, 0.01), gt.cy, gt.w, gt.h * 1.1,
+                 float(rng.uniform(0.3, 1.0)))
+                for gt in truth
+            ]
+        )
     return [Detections.from_rows(frame) for frame in rows], ground_truth
 
 
