@@ -236,40 +236,24 @@ class FaultPlan:
             time += float(rng.exponential(self.mean_time_between_crashes))
         return crashes
 
-    def draw_partitions(self, horizon: float) -> list[tuple[float, float]]:
-        """Seeded link-partition schedule: non-overlapping (cut, heal) pairs.
+    def draw_partitions_for_region(
+        self, horizon: float, region: int
+    ) -> list[tuple[float, float]]:
+        """Seeded WAN-partition schedule of one region: (cut, heal) pairs.
 
         Cut times follow a Poisson process with exponential gaps of mean
         ``mean_time_between_partitions`` (each gap measured from the
         previous *heal*, so intervals never overlap); each outage lasts
-        an exponential ``mean_partition_seconds`` draw.  Drawn from an
-        RNG stream independent of both the message verdicts and the
-        crash process — enabling partitions on a plan shifts neither —
-        and freshly seeded per call, so it is deterministic however
-        often it is asked.  Heals past the horizon are kept: the kernel
-        drains them so a run never ends mid-partition.
-        """
-        if self.mean_time_between_partitions is None or horizon <= 0:
-            return []
-        rng = np.random.default_rng([self.seed, 3])
-        partitions: list[tuple[float, float]] = []
-        start = float(rng.exponential(self.mean_time_between_partitions))
-        while start <= horizon:
-            end = start + float(rng.exponential(self.mean_partition_seconds))
-            partitions.append((start, end))
-            start = end + float(rng.exponential(self.mean_time_between_partitions))
-        return partitions
-
-    def draw_partitions_for_region(
-        self, horizon: float, region: int
-    ) -> list[tuple[float, float]]:
-        """Seeded per-region WAN partition schedule (federation runs).
-
-        Same Poisson cut/heal process as :meth:`draw_partitions` but from
-        a region-indexed RNG stream, so each region's WAN partitions
-        independently and adding a region never shifts another region's
-        schedule.  The single-link stream (:meth:`draw_partitions`) is
-        untouched, keeping pre-federation journals byte-identical.
+        an exponential ``mean_partition_seconds`` draw.  Each region
+        draws from its own RNG stream, independent of the message
+        verdicts, the crash process and every other region — enabling
+        partitions shifts neither, and adding a region never shifts
+        another region's schedule.  Region 0's stream is the one a
+        one-region fleet has always drawn (``SeedSequence`` zero-pads its
+        entropy, so ``[seed, 3, 0]`` seeds exactly as ``[seed, 3]``).
+        Freshly seeded per call, so it is deterministic however often it
+        is asked.  Heals past the horizon are kept: the kernel drains
+        them so a run never ends mid-partition.
         """
         if self.mean_time_between_partitions is None or horizon <= 0:
             return []

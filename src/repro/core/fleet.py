@@ -931,27 +931,15 @@ class FleetSession:
             # link partitions: cut/heal pairs per region.  Heals are
             # always scheduled (the kernel drains fully), so no run ends
             # with a link still down and transfers frozen
-            if fed.num_regions == 1:
-                # compatibility shim: one region draws the pre-federation
-                # partition stream with the default camera tag, which the
-                # exactness pin and the chaos fingerprints depend on
-                for start, end in self.faults.draw_partitions(duration):
-                    scheduler.schedule(LinkPartitionEvent(time=start))
-                    scheduler.schedule(LinkPartitionEvent(time=end, healed=True))
-            else:
-                for region in fed.regions:
-                    pairs = self.faults.draw_partitions_for_region(
-                        duration, region.index
+            for region in fed.regions:
+                pairs = self.faults.draw_partitions_for_region(duration, region.index)
+                for start, end in pairs:
+                    scheduler.schedule(
+                        LinkPartitionEvent(time=start, camera_id=region.index)
                     )
-                    for start, end in pairs:
-                        scheduler.schedule(
-                            LinkPartitionEvent(time=start, camera_id=region.index)
-                        )
-                        scheduler.schedule(
-                            LinkPartitionEvent(
-                                time=end, healed=True, camera_id=region.index
-                            )
-                        )
+                    scheduler.schedule(
+                        LinkPartitionEvent(time=end, healed=True, camera_id=region.index)
+                    )
         outages = list(self._scripted_region_outages)
         if self.faults is not None and self.faults.injects_region_outages:
             outages.extend(

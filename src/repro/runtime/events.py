@@ -231,13 +231,15 @@ class WorkerCrashEvent(Event):
 
 @dataclass(slots=True)
 class LinkPartitionEvent(Event):
-    """The shared edge-cloud link partitions (or heals) right now.
+    """One region's edge-cloud link partitions (or heals) right now.
 
-    Scheduled in cut/heal pairs from the
-    :class:`~repro.core.faults.FaultPlan`'s seeded partition process
-    (:meth:`~repro.core.faults.FaultPlan.draw_partitions`) and handled
-    by the session kernel: on the cut (``healed=False``) both directions
-    of the :class:`~repro.network.link.SharedLink` pause — in-flight and
+    Scheduled in cut/heal pairs from each region's seeded partition
+    process (:meth:`~repro.core.faults.FaultPlan.draw_partitions_for_region`),
+    tagged with the region's index in ``camera_id`` (region 0, the only
+    region of a one-region fleet, is the default tag), and handled by
+    the federation's transport: on the cut (``healed=False``) both
+    directions of the region's
+    :class:`~repro.network.link.SharedLink` pause — in-flight and
     newly-started transfers stop draining but are *queued, not lost*,
     unlike per-message loss faults — and on the heal (``healed=True``)
     draining resumes where it left off.  Priority 3: transfers whose

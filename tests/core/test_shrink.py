@@ -20,14 +20,16 @@ import json
 import pytest
 
 from repro.core.faults import PLANTED_BUGS
-from repro.runtime.journal import canonical_dumps
+from repro.runtime.journal import EventJournal, canonical_dumps
 from repro.testing import (
     ChaosShrinker,
     chaos_scenario,
     check_invariants,
     run_scenario,
+    scenario_from_journal_meta,
     session_from_scenario,
 )
+from repro.testing.scenarios import MIN_FRAMES
 from repro.testing.shrink import main, planted, write_fixture
 
 from test_invariants import run_config, sample_config
@@ -62,6 +64,23 @@ def test_seed_probes_pin_the_test_vocabulary():
     assert run_scenario(passing, "dedup_off")[0] is None
     # and without the planted bug the hostile scenario is healthy too
     assert run_scenario(hostile_scenario())[0] is None
+
+
+def journaled_meta(scenario: dict) -> dict:
+    """The journal header of one run of ``scenario``."""
+    journal = EventJournal()
+    session_from_scenario(scenario).run(journal=journal)
+    return journal.meta
+
+
+@pytest.mark.parametrize("regions", [False, True], ids=["one_region", "regions"])
+@pytest.mark.parametrize("seed", range(8))
+def test_scenario_recovered_from_a_journal_journals_the_same_header(seed, regions):
+    """The shrinker's journal input: the header names the run exactly."""
+    scenario = chaos_scenario(seed, partitions=True, autoscaler=True, regions=regions)
+    scenario["num_frames"] = MIN_FRAMES
+    meta = journaled_meta(scenario)
+    assert journaled_meta(scenario_from_journal_meta(meta)) == meta
 
 
 @pytest.fixture(scope="module")
