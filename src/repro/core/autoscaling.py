@@ -394,7 +394,7 @@ class StepScaler(AutoscalePolicy):
         return fingerprint
 
 
-#: registry threaded through ``FleetSession(autoscaler=...)`` and
+#: registry threaded through ``RegionSpec(autoscaler=...)`` and
 #: ``run_fleet(autoscaler=...)``
 AUTOSCALERS: dict[str, type[AutoscalePolicy]] = {
     NoScaler.name: NoScaler,

@@ -6,7 +6,8 @@ cluster (GPUs, placement, scheduler, batching, autoscaler, spot
 revocations) behind a :class:`~repro.network.link.SharedLink` built
 from a distinct :class:`~repro.network.link.WanProfile` (latency /
 bandwidth / $-per-GB egress).  A session built without
-``regions=[...]`` is a one-region federation with a free WAN.  On top
+``regions=[...]`` is one region named ``"default"`` behind a free
+WAN.  On top
 of the regions sit the three control loops a geo-distributed
 deployment needs:
 
@@ -98,11 +99,11 @@ __all__ = [
 class RegionSpec:
     """One region of the federation: its cluster shape and WAN profile.
 
-    Per-region knobs are the per-cluster :class:`FleetSession`
-    arguments (GPUs, placement, scheduler, worker specs, batching,
-    autoscaler, spot revocations and how their victims' jobs recover);
-    the WAN profile adds the geo dimension — latency, bandwidth and an
-    egress price every byte crossing the region's link pays.  A
+    The fields are the one declaration of a cluster's knobs (GPUs,
+    placement, scheduler, worker specs, batching, autoscaler, spot
+    revocations and how their victims' jobs recover); the WAN profile
+    shapes the region's link — latency, bandwidth and an egress price
+    every byte crossing it pays.  A
     :class:`~repro.core.cluster.RevocationProcess` revokes the spot
     workers of its own region only, so each region needs its own
     instance.

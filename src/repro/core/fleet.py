@@ -34,7 +34,7 @@ Every camera still produces a full per-camera
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 
@@ -42,26 +42,20 @@ import numpy as np
 
 from repro.core.actors import EdgeActor, SessionKernel, SharedLinkTransport
 from repro.core.adaptive_training import AdaptiveTrainer, ReplaySeed
-from repro.core.autoscaling import AutoscalePolicy, ScalingEvent
+from repro.core.autoscaling import ScalingEvent
 from repro.core.cloud import CloudServer
-from repro.core.batching import BatchPolicy, FleetBatcher
-from repro.core.cluster import (
-    CloudCluster,
-    RevocationProcess,
-    RevocationRecord,
-    SchedulerSpec,
-)
+from repro.core.cluster import CloudCluster, RevocationRecord
 from repro.core.config import ShoggothConfig
 from repro.core.edge import EdgeDevice
 from repro.core.faults import CrashRecord, FaultPlan, FaultySharedLink, ReliableChannel
 from repro.core.federation import Federation, RegionSelector, RegionSpec
 from repro.core.sampling import SamplingRateController
-from repro.core.scheduling import PlacementPolicy, WorkerSpec, jain_fairness
+from repro.core.scheduling import WorkerSpec, jain_fairness
 from repro.core.session import SessionOptions, SessionResult, resolve_session_config
 from repro.core.strategies import build_strategy
 from repro.detection.student import StudentDetector
 from repro.detection.teacher import TeacherDetector
-from repro.network.link import LinkConfig, SharedLink, WanProfile
+from repro.network.link import SharedLink
 from repro.runtime.device import CloudComputeModel, EdgeComputeModel
 from repro.runtime.journal import stable_digest
 from repro.runtime.metrics import reduce_metric
@@ -545,39 +539,24 @@ class FleetSession:
     Each camera starts from a fresh clone of the pre-trained student and
     resolves its own strategy/config exactly as a standalone
     :class:`CollaborativeSession` would; only the *resources* (teacher
-    GPUs, uplink/downlink) are shared.  ``scheduler`` picks the per-GPU
-    sharing policy — a :class:`GpuScheduler` instance or a registered
-    policy name (``"fifo"``, ``"staleness"``, ``"weighted_fair"``,
-    ``"admission"``, ``"drift"``); the default FIFO policy reproduces
-    the pre-scheduler fleet behaviour exactly.  ``num_gpus`` and
-    ``placement`` (``"round_robin"``, ``"least_loaded"``, ``"sticky"``,
-    ``"power_of_two"``) shard the cloud into a
-    :class:`~repro.core.cluster.CloudCluster`.  ``autoscaler`` picks the
-    elastic-scaling policy (``"none"`` — the default, fixed cluster —,
-    ``"slo"``, ``"step"`` or an
-    :class:`~repro.core.autoscaling.AutoscalePolicy` instance) that may
-    grow/shrink the cluster online from the queue-delay signal.
-    ``worker_specs`` describes the hardware mix (speed / cost rate /
-    spot flag per worker), ``revocations`` attaches a
-    :class:`~repro.core.cluster.RevocationProcess` that kills spot
-    workers mid-run, and ``revocation_mode`` picks how interrupted jobs
-    recover (``"relabel"`` from scratch or ``"checkpoint"`` resume).
-    ``link_config`` shapes the shared link, or ``link`` passes a ready
-    one.  ``faults`` attaches a seeded
-    :class:`~repro.core.faults.FaultPlan`: the link is built to
+    GPUs, uplink/downlink) are shared.
+
+    The cloud is a :class:`~repro.core.federation.Federation` of
+    ``regions``, a list of :class:`~repro.core.federation.RegionSpec`
+    (default: one region named ``"default"`` behind a free WAN).  Each
+    spec carries its cluster's shape: GPU count, placement, per-GPU
+    scheduler, worker hardware mix, cluster-wide batching, autoscaler,
+    spot revocations and how their victims' jobs recover, plus the WAN
+    profile its link is built from.  ``region_selector``,
+    ``region_outages``, ``replication_interval_seconds`` and
+    ``failover`` steer a multi-region cloud — see
+    ``docs/federation.md``.  ``faults`` attaches a seeded
+    :class:`~repro.core.faults.FaultPlan`: every link is built to
     lose/duplicate/delay messages, the edge retransmits with
     exponential backoff through a
     :class:`~repro.core.faults.ReliableChannel` (the cloud dedups by
     message id), and the plan's Poisson crash process kills workers
     mid-handler with supervised recovery.
-
-    Every fleet runs through a :class:`~repro.core.federation.Federation`.
-    The per-cluster arguments above describe its one region, behind a
-    free WAN; ``regions`` (a list of
-    :class:`~repro.core.federation.RegionSpec`, which then carry those
-    arguments per region), ``region_selector``, ``region_outages``,
-    ``replication_interval_seconds`` and ``failover`` spread the cloud
-    across WAN-profiled regions instead — see ``docs/federation.md``.
     ``run(journal=...)`` records the full event stream into an
     :class:`~repro.runtime.journal.EventJournal` for byte-stable
     determinism checks and exact replay.
@@ -589,21 +568,11 @@ class FleetSession:
         student: StudentDetector,
         teacher: TeacherDetector,
         config: ShoggothConfig | None = None,
-        link: SharedLink | None = None,
-        link_config: LinkConfig | None = None,
         edge_compute: EdgeComputeModel | None = None,
         cloud_compute: CloudComputeModel | None = None,
         replay_seed: tuple | None = None,
         batch_overhead_seconds: float = 0.02,
-        scheduler: SchedulerSpec = None,
-        num_gpus: int = 1,
-        placement: PlacementPolicy | str | None = None,
-        autoscaler: AutoscalePolicy | str | None = None,
-        worker_specs: WorkerSpec | list[WorkerSpec] | None = None,
-        revocations: RevocationProcess | None = None,
-        revocation_mode: str = "relabel",
         faults: FaultPlan | None = None,
-        batching: "FleetBatcher | BatchPolicy | str | None" = None,
         regions: list[RegionSpec] | None = None,
         region_selector: "RegionSelector | str | None" = None,
         region_outages: list[tuple[float, float, int]] | None = None,
@@ -616,55 +585,8 @@ class FleetSession:
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
             raise ValueError(f"camera names must be unique, duplicated: {duplicates}")
-        if faults is not None and link is not None:
-            raise ValueError(
-                "pass either a ready link or a fault plan, not both: message "
-                "faults are injected by wrapping the link the session builds"
-            )
         if regions is None:
-            if (
-                region_selector is not None
-                or region_outages
-                or replication_interval_seconds is not None
-            ):
-                raise ValueError(
-                    "region_selector / region_outages / "
-                    "replication_interval_seconds require regions=[...]"
-                )
-            if link is not None:
-                link_config = link.config
-            regions = [
-                RegionSpec(
-                    name="default",
-                    num_gpus=num_gpus,
-                    wan=WanProfile(**asdict(link_config or LinkConfig())),
-                    scheduler=scheduler,
-                    placement=placement,
-                    worker_specs=worker_specs,
-                    batching=batching,
-                    autoscaler=autoscaler,
-                    revocations=revocations,
-                    revocation_mode=revocation_mode,
-                )
-            ]
-        elif (
-            scheduler is not None
-            or placement is not None
-            or num_gpus != 1
-            or worker_specs is not None
-            or revocations is not None
-            or revocation_mode != "relabel"
-            or batching is not None
-            or autoscaler is not None
-            or link is not None
-            or link_config is not None
-        ):
-            raise ValueError(
-                "with regions=[...] the cluster/link knobs live on each "
-                "RegionSpec; pass neither a ready link nor the scheduler/"
-                "num_gpus/placement/worker_specs/revocations/revocation_mode/"
-                "batching/autoscaler/link_config arguments"
-            )
+            regions = [RegionSpec("default")]
         self._scripted_region_outages: list[tuple[float, float, int]] = []
         for entry in region_outages or []:
             start, end, index = entry
@@ -687,8 +609,6 @@ class FleetSession:
             failover=failover,
             replication_interval_seconds=replication_interval_seconds,
         )
-        if link is not None:
-            self.federation.regions[0].link = link
         #: the cluster of a one-region session (None for several regions)
         self.cluster: CloudCluster | None = (
             self.federation.regions[0].cluster if len(regions) == 1 else None

@@ -426,7 +426,7 @@ class DriftAwareScheduler(GpuScheduler):
         return list(grouped[chosen])
 
 
-#: registry threaded through ``FleetSession(scheduler=...)`` and
+#: registry threaded through ``RegionSpec(scheduler=...)`` and
 #: ``run_fleet(scheduler=...)``
 SCHEDULERS: dict[str, type[GpuScheduler]] = {
     FifoScheduler.name: FifoScheduler,
@@ -760,7 +760,7 @@ class CheapestFeasiblePlacement(PlacementPolicy):
 
 
 #: registry threaded through ``CloudCluster(placement=...)``,
-#: ``FleetSession(placement=...)`` and ``run_fleet(placement=...)``
+#: ``RegionSpec(placement=...)`` and ``run_fleet(placement=...)``
 PLACEMENTS: dict[str, type[PlacementPolicy]] = {
     RoundRobinPlacement.name: RoundRobinPlacement,
     LeastLoadedPlacement.name: LeastLoadedPlacement,

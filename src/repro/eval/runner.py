@@ -5,16 +5,12 @@ from __future__ import annotations
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from repro.core.autoscaling import AutoscalePolicy
-from repro.core.batching import BatchPolicy, FleetBatcher
-from repro.core.cluster import RevocationProcess, SchedulerSpec
 from repro.core.config import ShoggothConfig
 from repro.core.faults import FaultPlan
 from repro.core.federation import RegionSelector, RegionSpec
 from repro.core.fleet import CameraSpec, FleetResult, FleetSession
-from repro.core.scheduling import PlacementPolicy, WorkerSpec
 from repro.core.session import SessionResult
 from repro.core.strategies import Strategy, build_strategy
 from repro.detection.metrics import (
@@ -28,7 +24,7 @@ from repro.detection.student import StudentConfig, StudentDetector
 from repro.detection.teacher import TeacherConfig, TeacherDetector
 from repro.eval.results import StrategyRunResult, format_dollars
 from repro.runtime.metrics import reduce_metric
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import LinkConfig, SharedLink, WanProfile
 from repro.video.datasets import DatasetSpec
 
 __all__ = [
@@ -362,64 +358,63 @@ def run_fleet(
     link: SharedLink | None = None,
     link_config: LinkConfig | None = None,
     batch_overhead_seconds: float = 0.02,
-    scheduler: SchedulerSpec = None,
-    num_gpus: int = 1,
-    placement: PlacementPolicy | str | None = None,
-    autoscaler: AutoscalePolicy | str | None = None,
-    worker_specs: WorkerSpec | list[WorkerSpec] | None = None,
-    revocations: RevocationProcess | None = None,
-    revocation_mode: str = "relabel",
     faults: FaultPlan | None = None,
-    batching: FleetBatcher | BatchPolicy | str | None = None,
     journal: object | None = None,
     regions: "list[RegionSpec] | None" = None,
     region_selector: "RegionSelector | str | None" = None,
     region_outages: list[tuple[float, float, int]] | None = None,
     replication_interval_seconds: float | None = None,
     failover: bool = True,
+    **cluster,
 ) -> FleetRunResult:
     """Run N cameras against one shared cloud/link and score each stream.
 
     Every camera starts from a fresh clone of ``student``; the fleet
     shares one cloud and one processor-sharing link, so the per-camera
     metrics degrade as the fleet grows — the scaling behaviour
-    ``benchmarks/bench_fleet_scaling.py`` measures.  How each GPU is
-    shared is the ``scheduler`` policy (FIFO merged-batch by default;
-    see :mod:`repro.core.scheduling`), which
-    ``benchmarks/bench_scheduler_policies.py`` compares; ``num_gpus``
-    and ``placement`` shard the cloud into a
-    :class:`~repro.core.cluster.CloudCluster`, which
-    ``benchmarks/bench_cloud_sharding.py`` scales; ``autoscaler``
-    (``"none"`` default, ``"slo"``, ``"step"`` or a policy instance)
-    lets the cluster grow/shrink online, which
-    ``benchmarks/bench_autoscaling.py`` compares against fixed
-    provisioning; ``worker_specs`` + ``revocations`` (+
-    ``revocation_mode``) mix heterogeneous and preemptible spot
-    workers into the cluster, which
-    ``benchmarks/bench_spot_preemption.py`` trades against the
-    all-on-demand cost; ``faults`` attaches a seeded
-    :class:`~repro.core.faults.FaultPlan` (lossy link + worker
-    crashes + reliable delivery), which
-    ``benchmarks/bench_fault_recovery.py`` sweeps; ``batching``
-    (``None`` default, a policy name from
-    :data:`~repro.core.batching.BATCH_POLICIES` or a ready
-    :class:`~repro.core.batching.FleetBatcher`) coalesces labeling
-    jobs into cluster-wide teacher batches, which
-    ``benchmarks/bench_serving_throughput.py`` measures; ``regions``
-    (a list of :class:`~repro.core.federation.RegionSpec`, each
-    carrying its own per-cluster arguments, plus
+    ``benchmarks/bench_fleet_scaling.py`` measures.
+
+    Without ``regions`` the cloud is one region, and ``cluster`` holds
+    its :class:`~repro.core.federation.RegionSpec` fields by keyword:
+    ``scheduler`` (how each GPU is shared, FIFO merged-batch by
+    default; see :mod:`repro.core.scheduling`), ``num_gpus`` and
+    ``placement`` (shard the cloud into a
+    :class:`~repro.core.cluster.CloudCluster`), ``autoscaler``
+    (``"none"`` default, ``"slo"``, ``"step"`` or a policy instance),
+    ``worker_specs`` with ``revocations`` and ``revocation_mode`` (a
+    heterogeneous, partly preemptible cluster) and ``batching``
+    (cluster-wide teacher batches).  ``link_config`` shapes its free
+    WAN; a ready ``link`` is folded as its config.  The benchmarks
+    ``bench_scheduler_policies``, ``bench_cloud_sharding``,
+    ``bench_autoscaling``, ``bench_spot_preemption`` and
+    ``bench_serving_throughput`` sweep these knobs.  ``regions`` (a
+    list of :class:`~repro.core.federation.RegionSpec`, plus
     ``region_selector`` / ``region_outages`` /
-    ``replication_interval_seconds`` / ``failover``) federates the
-    cloud across WAN-profiled regions with cross-region failover,
+    ``replication_interval_seconds`` / ``failover``) instead federates
+    the cloud across WAN-profiled regions with cross-region failover,
     which ``benchmarks/bench_federation.py`` measures — see
-    ``docs/federation.md``; and
-    ``journal`` records the run into an
-    :class:`~repro.runtime.journal.EventJournal` for determinism
-    checks and replay.  Exporting ``REPRO_PROFILE=1`` wraps the
-    simulation in :mod:`cProfile` and dumps the stats to
+    ``docs/federation.md``; the cluster and link knobs then live on
+    each spec.  ``faults`` attaches a seeded
+    :class:`~repro.core.faults.FaultPlan` (lossy links + worker
+    crashes + reliable delivery), which
+    ``benchmarks/bench_fault_recovery.py`` sweeps, and ``journal``
+    records the run into an :class:`~repro.runtime.journal.EventJournal`
+    for determinism checks and replay.  Exporting ``REPRO_PROFILE=1``
+    wraps the simulation in :mod:`cProfile` and dumps the stats to
     ``REPRO_PROFILE_PATH`` (default ``repro_fleet.prof``) — see
     ``docs/performance.md``.
     """
+    if link is not None:
+        link_config = link.config
+    if link_config is not None:
+        cluster["wan"] = WanProfile(**asdict(link_config))
+    if regions is None:
+        regions = [RegionSpec("default", **cluster)]
+    elif cluster:
+        raise ValueError(
+            "with regions=[...] the cluster and link knobs live on each "
+            f"RegionSpec; got {sorted(cluster)}"
+        )
     settings = settings or ExperimentSettings()
     teacher = TeacherDetector(teacher_config or TeacherConfig(seed=settings.seed + 7))
 
@@ -434,19 +429,9 @@ def run_fleet(
         student=student,
         teacher=teacher,
         config=config or settings.shoggoth_config(),
-        link=link,
-        link_config=link_config,
         replay_seed=replay_seed,
         batch_overhead_seconds=batch_overhead_seconds,
-        scheduler=scheduler,
-        num_gpus=num_gpus,
-        placement=placement,
-        autoscaler=autoscaler,
-        worker_specs=worker_specs,
-        revocations=revocations,
-        revocation_mode=revocation_mode,
         faults=faults,
-        batching=batching,
         regions=regions,
         region_selector=region_selector,
         region_outages=region_outages,

@@ -245,59 +245,52 @@ def session_from_scenario(scenario: dict) -> FleetSession:
     rebuilt from its fingerprint, the autoscaler (if any) from its
     fingerprint via :func:`~repro.core.autoscaling.
     autoscaler_from_fingerprint`, and the cameras from the canonical
-    cycles in :func:`build_cameras`.  Deterministic: two sessions from
-    the same scenario produce byte-identical journals.
+    cycles in :func:`build_cameras`.  The shape knobs (GPUs, scheduler,
+    batching, autoscaler) apply uniformly to every region: a
+    ``"regions"`` key names the selector and one WAN profile per
+    region (``region0``, ``region1``, ...), and without it the fleet
+    is one region named ``"default"`` whose WAN takes the optional
+    ``uplink_kbps``/``downlink_kbps`` keys.  Deterministic: two sessions
+    from the same scenario produce byte-identical journals.
     """
-    if scenario.get("regions"):
-        # federated scenario: the shared shape knobs (GPUs, scheduler,
-        # batching, autoscaler) apply uniformly to every region — the
-        # region axes vary topology, WAN profiles and outage rates
-        region_axes = scenario["regions"]
-        specs = [
-            RegionSpec(
-                name=f"region{i}",
-                num_gpus=scenario["num_gpus"],
-                wan=WanProfile(**wan),
-                scheduler=scenario["scheduler"],
-                batching=scenario.get("batching"),
-                autoscaler=(
-                    autoscaler_from_fingerprint(scenario["autoscaler"])
-                    if scenario.get("autoscaler")
-                    else None
-                ),
+    region_axes = scenario.get("regions")
+    if region_axes:
+        wans = {
+            f"region{i}": WanProfile(**wan) for i, wan in enumerate(region_axes["wan"])
+        }
+        selector = region_axes["selector"]
+    else:
+        defaults = WanProfile()
+        wans = {
+            "default": WanProfile(
+                uplink_kbps=scenario.get("uplink_kbps", defaults.uplink_kbps),
+                downlink_kbps=scenario.get("downlink_kbps", defaults.downlink_kbps),
             )
-            for i, wan in enumerate(region_axes["wan"])
-        ]
-        return FleetSession(
-            build_cameras(scenario["n_cameras"], scenario["num_frames"]),
-            student=StudentDetector(StudentConfig(seed=5)),
-            teacher=TeacherDetector(TeacherConfig(seed=9)),
-            config=small_fleet_config(),
-            regions=specs,
-            region_selector=region_axes["selector"],
-            faults=FaultPlan(**scenario["fault_plan"]),
+        }
+        selector = None
+    specs = [
+        RegionSpec(
+            name=name,
+            num_gpus=scenario["num_gpus"],
+            wan=wan,
+            scheduler=scenario["scheduler"],
+            batching=scenario.get("batching"),
+            autoscaler=(
+                autoscaler_from_fingerprint(scenario["autoscaler"])
+                if scenario.get("autoscaler")
+                else None
+            ),
         )
-    policy = None
-    if scenario.get("autoscaler"):
-        policy = autoscaler_from_fingerprint(scenario["autoscaler"])
-    link_config = None
-    if "uplink_kbps" in scenario or "downlink_kbps" in scenario:
-        defaults = LinkConfig()
-        link_config = LinkConfig(
-            uplink_kbps=scenario.get("uplink_kbps", defaults.uplink_kbps),
-            downlink_kbps=scenario.get("downlink_kbps", defaults.downlink_kbps),
-        )
+        for name, wan in wans.items()
+    ]
     return FleetSession(
         build_cameras(scenario["n_cameras"], scenario["num_frames"]),
         student=StudentDetector(StudentConfig(seed=5)),
         teacher=TeacherDetector(TeacherConfig(seed=9)),
         config=small_fleet_config(),
-        scheduler=scenario["scheduler"],
-        num_gpus=scenario["num_gpus"],
-        batching=scenario.get("batching"),
-        autoscaler=policy,
+        regions=specs,
+        region_selector=selector,
         faults=FaultPlan(**scenario["fault_plan"]),
-        link_config=link_config,
     )
 
 

@@ -32,9 +32,9 @@ from repro.core.autoscaling import (
     StepScaler,
     build_autoscaler,
 )
+from repro.core.federation import RegionSpec
 from repro.core.scheduling import LABELING, GpuJob, StickyPlacement
 from repro.detection import StudentConfig, StudentDetector, TeacherConfig, TeacherDetector
-from repro.network.link import LinkConfig, SharedLink
 from repro.runtime.events import EventScheduler
 from repro.video import build_dataset
 
@@ -222,8 +222,7 @@ def run_fleet_session(num_gpus=2, autoscaler=None, n_cameras=4, num_frames=240):
         student=StudentDetector(StudentConfig(seed=5)),
         teacher=TeacherDetector(TeacherConfig(seed=9)),
         config=small_config(),
-        num_gpus=num_gpus,
-        autoscaler=autoscaler,
+        regions=[RegionSpec("default", num_gpus=num_gpus, autoscaler=autoscaler)],
     )
     return session, session.run()
 
@@ -408,30 +407,27 @@ class TestClusterSurgery:
         cameras = burst_cameras(frames=120)
         student = StudentDetector(StudentConfig(seed=5))
         teacher = TeacherDetector(TeacherConfig(seed=9))
-        with pytest.raises(ValueError, match="cannot add workers"):
-            FleetSession(
+
+        def build(**cluster):
+            return FleetSession(
                 cameras, student=student, teacher=teacher, config=small_config(),
-                num_gpus=1, scheduler=FifoScheduler(),
-                autoscaler=SloScaler(max_gpus=4),
+                regions=[RegionSpec("default", **cluster)],
             )
+
+        with pytest.raises(ValueError, match="cannot add workers"):
+            build(num_gpus=1, scheduler=FifoScheduler(), autoscaler=SloScaler(max_gpus=4))
         # a min_gpus floor above the starting size would silently never
         # hold (nothing scales out just to reach it): refuse it up front
         with pytest.raises(ValueError, match="set num_gpus >= min_gpus"):
-            FleetSession(
-                cameras, student=student, teacher=teacher, config=small_config(),
-                num_gpus=1, autoscaler=SloScaler(min_gpus=2, max_gpus=4),
-            )
+            build(num_gpus=1, autoscaler=SloScaler(min_gpus=2, max_gpus=4))
         # a scaler that cannot outgrow the cluster stays allowed, as does
         # the default NoScaler (the PR 3 golden pin relies on it)
-        FleetSession(
-            cameras, student=student, teacher=teacher, config=small_config(),
-            num_gpus=2, scheduler=lambda: FifoScheduler(),
+        build(
+            num_gpus=2,
+            scheduler=lambda: FifoScheduler(),
             autoscaler=SloScaler(min_gpus=1, max_gpus=2),
         )
-        FleetSession(
-            cameras, student=student, teacher=teacher, config=small_config(),
-            num_gpus=1, scheduler=FifoScheduler(),
-        )
+        build(num_gpus=1, scheduler=FifoScheduler())
 
     def test_utilization_carries_over_long_busy_periods(self):
         """A busy period credited at its start reads as sustained load
@@ -536,13 +532,7 @@ class TestNoScalerGolden:
     def test_default_fleet_reproduces_pr3_metrics_bit_for_bit(self):
         """`autoscaler="none"` must be indistinguishable from the fixed
         cluster (the controller schedules no ticks for it)."""
-        result = FleetSession(
-            make_mixed_fleet().cameras,
-            student=StudentDetector(StudentConfig(seed=5)),
-            teacher=TeacherDetector(TeacherConfig(seed=9)),
-            config=small_config(),
-            autoscaler="none",
-        ).run()
+        result = make_mixed_fleet(autoscaler="none").run()
         golden = PR1_GOLDEN
         assert result.autoscaler == "none"
         assert result.scaling_events == []
@@ -588,12 +578,8 @@ class TestNoScalerGolden:
         ticks) but never resizes must not perturb the simulation: ticks
         sample state, they never mutate it."""
         pinned = make_mixed_fleet().run()
-        ticked = FleetSession(
-            make_mixed_fleet().cameras,
-            student=StudentDetector(StudentConfig(seed=5)),
-            teacher=TeacherDetector(TeacherConfig(seed=9)),
-            config=small_config(),
-            autoscaler=ScriptedScaler({}, interval_seconds=0.5),
+        ticked = make_mixed_fleet(
+            autoscaler=ScriptedScaler({}, interval_seconds=0.5)
         ).run()
         assert ticked.queue_waits == pinned.queue_waits
         assert ticked.gpu_seconds_by_camera == pinned.gpu_seconds_by_camera
@@ -648,10 +634,14 @@ def run_burst_fleet(autoscaler, num_gpus=1, frames=240):
         student=StudentDetector(StudentConfig(seed=5)),
         teacher=TeacherDetector(TeacherConfig(seed=9)),
         config=small_config(),
-        link=SharedLink(LinkConfig()),
-        num_gpus=num_gpus,
-        placement="least_loaded",
-        autoscaler=autoscaler,
+        regions=[
+            RegionSpec(
+                "default",
+                num_gpus=num_gpus,
+                placement="least_loaded",
+                autoscaler=autoscaler,
+            )
+        ],
     ).run()
 
 
@@ -719,8 +709,7 @@ class TestElasticFleetEndToEnd:
             student=StudentDetector(StudentConfig(seed=5)),
             teacher=TeacherDetector(TeacherConfig(seed=9)),
             config=small_config(),
-            num_gpus=2,
-            autoscaler=NoScaler(),
+            regions=[RegionSpec("default", num_gpus=2, autoscaler=NoScaler())],
         )
         result = session.run()
         assert result.num_gpus == 2 and result.scaling_events == []

@@ -34,6 +34,7 @@ from repro.core.batching import (
     build_batcher,
     projected_batch_service,
 )
+from repro.core.federation import RegionSpec
 from repro.core.scheduling import (
     LABELING,
     TRAINING,
@@ -42,6 +43,8 @@ from repro.core.scheduling import (
     GpuJob,
     WorkerSpec,
 )
+from repro.detection import StudentConfig, StudentDetector
+from repro.eval import run_fleet
 from repro.runtime.events import BatchTimeout, EventScheduler
 from repro.runtime.journal import EventJournal
 from repro.testing import check_invariants
@@ -421,11 +424,16 @@ class TestBatchedDeterminism:
                 datasets=["detrac", "kitti", "waymo"],
                 strategies=["shoggoth", "ams", "shoggoth"],
                 seed_base=11,
-                num_gpus=2,
-                placement="least_loaded",
-                batching=LatencyBudgetBatchPolicy(
-                    max_batch_delay_seconds=0.04, phi_threshold=0.6
-                ),
+                regions=[
+                    RegionSpec(
+                        "default",
+                        num_gpus=2,
+                        placement="least_loaded",
+                        batching=LatencyBudgetBatchPolicy(
+                            max_batch_delay_seconds=0.04, phi_threshold=0.6
+                        ),
+                    )
+                ],
             )
 
         first, second = EventJournal(), EventJournal()
@@ -437,7 +445,10 @@ class TestBatchedDeterminism:
         assert not report.halted and report.events_checked == first.num_events
 
     def test_batching_knob_is_incompatible_with_regions(self):
-        from repro.core.federation import RegionSpec
-
         with pytest.raises(ValueError, match="batching"):
-            make_mixed_fleet(regions=[RegionSpec(name="a")], batching="greedy")
+            run_fleet(
+                make_mixed_fleet().cameras,
+                StudentDetector(StudentConfig(seed=5)),
+                regions=[RegionSpec(name="a")],
+                batching="greedy",
+            )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import CameraSpec, CloudCluster, FleetSession
+from repro.core.federation import RegionSpec
 from repro.core.scheduling import (
     LABELING,
     FifoScheduler,
@@ -280,9 +281,11 @@ def make_sharded_fleet(
         student=student,
         teacher=teacher,
         config=small_config(),
-        num_gpus=num_gpus,
-        placement=placement,
-        scheduler=scheduler,
+        regions=[
+            RegionSpec(
+                "default", num_gpus=num_gpus, placement=placement, scheduler=scheduler
+            )
+        ],
     )
 
 
@@ -293,12 +296,8 @@ class TestGoldenOneWorkerCluster:
         PR 2 single-GPU fleet — including the final student weights."""
         import numpy as np
 
-        cluster_result = FleetSession(
-            make_mixed_fleet().cameras,  # same specs as the pinned fleet
-            student=StudentDetector(StudentConfig(seed=5)),
-            teacher=TeacherDetector(TeacherConfig(seed=9)),
-            config=small_config(),
-            num_gpus=1, placement="round_robin", scheduler=FifoScheduler(),
+        cluster_result = make_mixed_fleet(
+            num_gpus=1, placement="round_robin", scheduler=FifoScheduler()
         ).run()
         golden = PR1_GOLDEN
         assert cluster_result.scheduler == "fifo"
@@ -365,11 +364,7 @@ class TestGoldenOneWorkerCluster:
         from repro.core.scheduling import WorkerSpec
 
         golden = PR1_GOLDEN
-        specced = FleetSession(
-            make_mixed_fleet().cameras,
-            student=StudentDetector(StudentConfig(seed=5)),
-            teacher=TeacherDetector(TeacherConfig(seed=9)),
-            config=small_config(),
+        specced = make_mixed_fleet(
             worker_specs=[WorkerSpec(speed=1.0, cost_per_gpu_second=1.0,
                                      preemptible=False)],
         ).run()

@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import FaultPlan, FleetSession
+from repro.core.federation import RegionSpec
 from repro.eval import ExperimentSettings, fleet_fingerprint, run_fleet
 from repro.runtime.journal import EventJournal
 from repro.detection import (
@@ -69,9 +70,11 @@ def build_fleet(faults: FaultPlan | None = None) -> FleetSession:
         student=StudentDetector(StudentConfig(seed=5)),
         teacher=TeacherDetector(TeacherConfig(seed=9)),
         config=small_fleet_config(),
-        scheduler="staleness",
-        num_gpus=2,
-        placement="least_loaded",
+        regions=[
+            RegionSpec(
+                "default", num_gpus=2, placement="least_loaded", scheduler="staleness"
+            )
+        ],
         faults=faults,
     )
 
@@ -167,9 +170,11 @@ def build_batched_fleet() -> FleetSession:
         student=StudentDetector(StudentConfig(seed=5)),
         teacher=TeacherDetector(TeacherConfig(seed=9)),
         config=small_fleet_config(),
-        num_gpus=2,
-        placement="least_loaded",
-        batching="latency_budget",
+        regions=[
+            RegionSpec(
+                "default", num_gpus=2, placement="least_loaded", batching="latency_budget"
+            )
+        ],
     )
 
 
@@ -189,9 +194,14 @@ def build_spot_fleet() -> FleetSession:
         student=StudentDetector(StudentConfig(seed=5)),
         teacher=TeacherDetector(TeacherConfig(seed=9)),
         config=small_fleet_config(),
-        num_gpus=2,
-        worker_specs=[WORKER_TIERS["spot"], WORKER_TIERS["spot"]],
-        revocations=RevocationProcess(mean_uptime_seconds=2.0, seed=3),
+        regions=[
+            RegionSpec(
+                "default",
+                num_gpus=2,
+                worker_specs=[WORKER_TIERS["spot"], WORKER_TIERS["spot"]],
+                revocations=RevocationProcess(mean_uptime_seconds=2.0, seed=3),
+            )
+        ],
     )
 
 

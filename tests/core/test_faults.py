@@ -170,14 +170,27 @@ def test_reliable_channel_dedup_and_abandonment():
     assert channel.num_retries == 1
 
 
-def test_fault_plan_and_explicit_link_are_mutually_exclusive(fleet_factory):
-    from repro.network.link import SharedLink
+def test_run_fleet_folds_a_ready_link_as_its_config():
+    """A ready link is built afresh from its config, so a fault plan can
+    wrap it: the run equals one given the config, and loses messages."""
+    from repro.detection import StudentConfig, StudentDetector
+    from repro.eval import ExperimentSettings, run_fleet
+    from repro.network.link import LinkConfig, SharedLink
+    from repro.testing.scenarios import build_cameras, small_fleet_config
 
-    with pytest.raises(ValueError, match="not both"):
-        fleet_factory(
-            n_cameras=1,
-            num_frames=30,
-            datasets=["detrac"],
-            link=SharedLink(),
-            faults=FaultPlan(seed=0),
+    config = LinkConfig(uplink_kbps=3_000.0)
+    journals = []
+    for link in ({"link": SharedLink(config)}, {"link_config": config}):
+        journals.append(EventJournal())
+        result = run_fleet(
+            build_cameras(2, 90, datasets=["detrac"]),
+            StudentDetector(StudentConfig(seed=5)),
+            settings=ExperimentSettings(num_frames=90, replay_seed_images=0),
+            config=small_fleet_config(),
+            faults=FaultPlan(seed=0, loss_rate=0.5),
+            journal=journals[-1],
+            **link,
         )
+        assert result.fleet.num_lost_messages > 0
+    assert journals[0].serialize() == journals[1].serialize()
+    assert journals[0].meta["link"]["uplink_kbps"] == 3_000.0

@@ -44,8 +44,8 @@ from repro.detection import (
     TeacherConfig,
     TeacherDetector,
 )
-from repro.eval import fleet_fingerprint
-from repro.network.link import WanProfile
+from repro.eval import fleet_fingerprint, run_fleet
+from repro.network.link import SharedLink, WanProfile
 from repro.runtime.journal import EventJournal
 from repro.testing.scenarios import build_cameras, small_fleet_config
 
@@ -400,12 +400,15 @@ def test_federation_validation_errors():
         RegionSpec(name="")
     with pytest.raises(ValueError, match="positive"):
         Federation([RegionSpec(name="a")], replication_interval_seconds=0.0)
-    with pytest.raises(ValueError, match="require regions"):
-        build_fleet(region_selector="nearest")
-    with pytest.raises(ValueError):
-        build_fleet(regions=two_regions(), num_gpus=2)
-    with pytest.raises(ValueError):
-        build_fleet(regions=two_regions(), scheduler="staleness")
+    # run_fleet's one-region cluster knobs live on each RegionSpec
+    for knob in ({"num_gpus": 2}, {"scheduler": "staleness"}, {"link": SharedLink()}):
+        with pytest.raises(ValueError, match="live on each RegionSpec"):
+            run_fleet(
+                build_cameras(1, 30),
+                StudentDetector(StudentConfig(seed=5)),
+                regions=two_regions(),
+                **knob,
+            )
     with pytest.raises(ValueError, match="region"):
         # outage index out of range
         build_fleet(regions=two_regions(), region_outages=[(1.0, 2.0, 7)])

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import CameraSpec, FleetSession, ShoggothConfig
+from repro.core.federation import RegionSpec
 from repro.detection import StudentConfig, StudentDetector, TeacherConfig, TeacherDetector
-from repro.network.link import LinkConfig, SharedLink
+from repro.network.link import WanProfile
 from repro.video import build_dataset
 
 
@@ -98,11 +99,11 @@ class TestFleetSession:
     def test_slow_shared_link_stretches_uploads(self, student, teacher):
         fast = make_fleet(
             student, teacher, 2,
-            link=SharedLink(LinkConfig(uplink_kbps=50_000.0)),
+            regions=[RegionSpec("default", wan=WanProfile(uplink_kbps=50_000.0))],
         ).run()
         slow = make_fleet(
             student, teacher, 2,
-            link=SharedLink(LinkConfig(uplink_kbps=2_000.0)),
+            regions=[RegionSpec("default", wan=WanProfile(uplink_kbps=2_000.0))],
         ).run()
         fast_lat = [l for e in fast.cameras for l in e.upload_latencies]
         slow_lat = [l for e in slow.cameras for l in e.upload_latencies]

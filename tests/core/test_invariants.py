@@ -22,6 +22,7 @@ import pytest
 from repro.core import CameraSpec, FleetSession
 from repro.core.autoscaling import SloScaler, StepScaler
 from repro.core.cluster import REVOCATION_MODES, RevocationProcess
+from repro.core.federation import RegionSpec
 from repro.core.scheduling import PLACEMENTS, SCHEDULERS, WORKER_TIERS
 from repro.detection import StudentConfig, StudentDetector, TeacherConfig, TeacherDetector
 from repro.runtime.events import Event, EventScheduler
@@ -106,13 +107,18 @@ def run_config(config: dict):
         student=StudentDetector(StudentConfig(seed=5)),
         teacher=TeacherDetector(TeacherConfig(seed=9)),
         config=small_config(),
-        scheduler=config["scheduler"],
-        placement=config["placement"],
-        num_gpus=config["num_gpus"],
-        worker_specs=config["worker_specs"],
-        revocations=config["revocations"],
-        revocation_mode=config["revocation_mode"],
-        autoscaler=config["autoscaler"],
+        regions=[
+            RegionSpec(
+                "default",
+                num_gpus=config["num_gpus"],
+                scheduler=config["scheduler"],
+                placement=config["placement"],
+                worker_specs=config["worker_specs"],
+                revocations=config["revocations"],
+                revocation_mode=config["revocation_mode"],
+                autoscaler=config["autoscaler"],
+            )
+        ],
     )
     return session, session.run()
 

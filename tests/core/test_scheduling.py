@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import CameraSpec, FleetSession, ShoggothConfig
+from repro.core.federation import RegionSpec
 from repro.core.scheduling import (
     LABELING,
     TRAINING,
@@ -249,13 +250,13 @@ def small_config() -> ShoggothConfig:
 
 
 def make_mixed_fleet(
-    scheduler=None, weights=None, num_frames=240, **fleet_kwargs
+    scheduler=None, weights=None, num_frames=240, **cluster
 ) -> FleetSession:
     """The pinned fleet: three Shoggoth cameras plus one AMS camera.
 
-    Extra keyword arguments pass through to :class:`FleetSession`, so
-    golden-pin variants (cluster shapes, ``batching=...``) reuse the
-    exact same cameras and config.
+    Extra keyword arguments are fields of the fleet's one
+    :class:`RegionSpec`, so golden-pin variants (cluster shapes,
+    ``batching=...``) reuse the exact same cameras and config.
     """
     student = StudentDetector(StudentConfig(seed=5))
     teacher = TeacherDetector(TeacherConfig(seed=9))
@@ -276,8 +277,7 @@ def make_mixed_fleet(
         student=student,
         teacher=teacher,
         config=small_config(),
-        scheduler=scheduler,
-        **fleet_kwargs,
+        regions=[RegionSpec("default", scheduler=scheduler, **cluster)],
     )
 
 

@@ -41,6 +41,7 @@ from repro.core.scheduling import (
     build_placement,
 )
 from repro.detection import StudentConfig, StudentDetector, TeacherConfig, TeacherDetector
+from repro.eval import run_fleet
 from repro.runtime.events import EventScheduler, LabelingDone, RevocationEvent
 from repro.runtime.journal import EventJournal
 from repro.testing import check_invariants
@@ -235,28 +236,29 @@ class TestClusterSpecConstruction:
                 student=StudentDetector(StudentConfig(seed=5)),
                 teacher=TeacherDetector(TeacherConfig(seed=9)),
                 config=small_config(),
-                num_gpus=1,
-                scheduler=FifoScheduler(),
-                worker_specs=SPOT,
-                revocations=RevocationProcess(mean_uptime_seconds=5.0),
+                regions=[
+                    RegionSpec(
+                        "default",
+                        num_gpus=1,
+                        scheduler=FifoScheduler(),
+                        worker_specs=SPOT,
+                        revocations=RevocationProcess(mean_uptime_seconds=5.0),
+                    )
+                ],
             )
 
     def test_cluster_knobs_conflict_with_regions(self):
         cameras = [CameraSpec("a", build_dataset("detrac", num_frames=120))]
         student = StudentDetector(StudentConfig(seed=5))
-        teacher = TeacherDetector(TeacherConfig(seed=9))
-        # spot knobs live on each RegionSpec under a federation:
-        # silently ignoring a fleet-level one would skew comparisons
+        # run_fleet's one-region knobs live on each RegionSpec under a
+        # federation: silently ignoring one would skew comparisons
         for knobs in (
             {"worker_specs": SPOT},
             {"revocations": RevocationProcess(mean_uptime_seconds=5.0)},
             {"revocation_mode": "checkpoint"},
         ):
             with pytest.raises(ValueError, match="live on each RegionSpec"):
-                FleetSession(
-                    cameras, student=student, teacher=teacher,
-                    regions=[RegionSpec(name="a")], **knobs,
-                )
+                run_fleet(cameras, student, regions=[RegionSpec(name="a")], **knobs)
 
     def test_one_revocation_process_serves_one_region(self):
         process = RevocationProcess(mean_uptime_seconds=5.0)
@@ -272,7 +274,9 @@ class TestClusterSpecConstruction:
 # ---------------------------------------------------------------------------
 def spot_fleet_session(worker_specs=None, revocations=None,
                        revocation_mode="relabel", placement="least_loaded",
-                       n_cameras=4, num_frames=240, **fleet_kwargs):
+                       n_cameras=4, num_frames=240, regions=None, **fleet_kwargs):
+    """The spot suite's fleet: one region built from the spot knobs,
+    unless ``regions`` are given."""
     datasets = ["detrac", "kitti", "waymo", "stationary"]
     strategies = ["shoggoth", "ams", "shoggoth", "shoggoth"]
     cameras = [
@@ -289,10 +293,15 @@ def spot_fleet_session(worker_specs=None, revocations=None,
         student=StudentDetector(StudentConfig(seed=5)),
         teacher=TeacherDetector(TeacherConfig(seed=9)),
         config=small_config(),
-        worker_specs=worker_specs,
-        revocations=revocations,
-        revocation_mode=revocation_mode,
-        placement=placement,
+        regions=regions or [
+            RegionSpec(
+                "default",
+                worker_specs=worker_specs,
+                revocations=revocations,
+                revocation_mode=revocation_mode,
+                placement=placement,
+            )
+        ],
         **fleet_kwargs,
     )
 
@@ -661,7 +670,7 @@ class TestSpotFleetEndToEnd:
             student=StudentDetector(StudentConfig(seed=5)),
             teacher=TeacherDetector(TeacherConfig(seed=9)),
             config=small_config(),
-            autoscaler=scaler,
+            regions=[RegionSpec("default", autoscaler=scaler)],
         )
         result = fleet.run()
         assert result.num_scale_outs >= 1
@@ -736,7 +745,6 @@ class TestSpotUnderFederation:
             revocation_mode=mode,
         ).run(journal=plain_journal)
         one_region = spot_fleet_session(
-            placement=None,
             regions=[
                 RegionSpec(
                     name="solo",
@@ -757,7 +765,6 @@ class TestSpotUnderFederation:
     def test_revocation_routes_to_its_own_region(self):
         """A trace in region 1 revokes region 1's spot worker only."""
         session = spot_fleet_session(
-            placement=None,
             regions=[
                 RegionSpec(name="near", worker_specs=[ON_DEMAND, SPOT]),
                 RegionSpec(
