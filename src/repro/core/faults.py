@@ -312,12 +312,9 @@ class FaultPlan:
         """JSON-ready parameter summary (journaled into the run's meta).
 
         Round-trips through the constructor: ``FaultPlan(**fp)`` rebuilds
-        an identical plan.  Partition parameters appear only when
-        partitions are enabled, so partition-free plans fingerprint —
-        and journal — byte-identically to plans from before the
-        partition fault existed.
+        an identical plan.
         """
-        fingerprint = {
+        return {
             "seed": self.seed,
             "loss_rate": self.loss_rate,
             "duplicate_rate": self.duplicate_rate,
@@ -328,20 +325,11 @@ class FaultPlan:
             "max_attempts": self.max_attempts,
             "mean_time_between_crashes": self.mean_time_between_crashes,
             "crash_recovery": self.crash_recovery,
+            "mean_time_between_partitions": self.mean_time_between_partitions,
+            "mean_partition_seconds": self.mean_partition_seconds,
+            "mean_time_between_region_outages": self.mean_time_between_region_outages,
+            "mean_region_outage_seconds": self.mean_region_outage_seconds,
         }
-        if self.injects_partitions:
-            fingerprint["mean_time_between_partitions"] = (
-                self.mean_time_between_partitions
-            )
-            fingerprint["mean_partition_seconds"] = self.mean_partition_seconds
-        if self.injects_region_outages:
-            fingerprint["mean_time_between_region_outages"] = (
-                self.mean_time_between_region_outages
-            )
-            fingerprint["mean_region_outage_seconds"] = (
-                self.mean_region_outage_seconds
-            )
-        return fingerprint
 
     def describe(self) -> str:
         """Short human-readable tag for result tables and fault logs."""

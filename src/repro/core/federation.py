@@ -44,7 +44,7 @@ cluster that scheduled it, an
 :class:`~repro.runtime.events.AutoscaleTick` to the controller that
 scheduled it, and a delivery event to the region link that projected
 it.  Identity routing adds no payload fields, which is what keeps a
-one-region federation's journal byte-identical to a single cluster's.
+one-region federation's event records identical to a single cluster's.
 """
 
 from __future__ import annotations
@@ -223,6 +223,21 @@ class Region:
 
     def describe(self) -> dict:
         """Canonical-JSON-safe identity for the journal meta header."""
+        process = self.cluster.revocations
+        revocations = None
+        if process is not None:
+            revocations = {
+                "scripted": process.scripted,
+                "seed": process.seed,
+                "mean_uptime_seconds": process.mean_uptime_seconds,
+                # seeded processes have no scripted trace to pin; their
+                # draws are reproduced from (seed, provision history)
+                "trace": (
+                    None
+                    if process.trace is None
+                    else [list(entry) for entry in process.trace]
+                ),
+            }
         return {
             "name": self.name,
             "num_gpus": self.cluster.num_gpus,
@@ -245,6 +260,8 @@ class Region:
                 }
                 for spec in self.cluster.worker_specs
             ],
+            "revocations": revocations,
+            "revocation_mode": self.cluster.revocation_mode,
         }
 
 

@@ -21,10 +21,10 @@ and a *single* processor-sharing
   what capacity planning (how many cameras can one V100 serve — and
   how many V100s does this fleet need?) requires.
 
-The cloud is always reached through a
-:class:`~repro.core.federation.Federation`: one region (one cluster
-behind one link, as above) by default, several WAN-profiled regions
-with ``regions=[...]``.  Both run the same code path.
+The cloud is always a :class:`~repro.core.federation.Federation` of
+``regions``: one region (one cluster behind one link, as above) by
+default, several WAN-profiled regions with ``regions=[...]``.  Both run
+the same code path and journal the same region-list header.
 
 Every camera still produces a full per-camera
 :class:`~repro.core.session.SessionResult`, plus fleet-level aggregates
@@ -216,11 +216,9 @@ class FleetResult:
     #: frames that received teacher labels via the queued GPU path (the
     #: serving-throughput numerator: labels/sec = this / busy seconds)
     num_labeled_frames: int = 0
-    #: per-region metrics dicts, in region-index order — empty for the
-    #: degenerate 1-region federation (whose result is pinned
-    #: bit-for-bit to the pre-federation single-cluster run)
+    #: per-region metrics dicts, in region-index order
     region_metrics: list[dict] = field(default_factory=list)
-    #: which region-homing policy placed the cameras ("" = degenerate run)
+    #: which region-homing policy placed the cameras
     region_selector: str = ""
     #: cameras moved between regions (failover + heal re-homing)
     num_region_migrations: int = 0
@@ -230,7 +228,7 @@ class FleetResult:
     num_region_outages: int = 0
     #: bytes that crossed any region's WAN (sends, retries, replication)
     wan_bytes: float = 0.0
-    #: WAN egress spend; ``dollar_cost`` includes it for federated runs
+    #: WAN egress spend (``dollar_cost`` includes it)
     wan_dollar_cost: float = 0.0
 
     @property
@@ -304,6 +302,13 @@ class FleetResult:
             "num_merged_batches": self.num_merged_batches,
             "num_batched_jobs": self.num_batched_jobs,
             "num_labeled_frames": self.num_labeled_frames,
+            "region_metrics": list(self.region_metrics),
+            "region_selector": self.region_selector,
+            "num_region_migrations": self.num_region_migrations,
+            "num_region_job_handoffs": self.num_region_job_handoffs,
+            "num_region_outages": self.num_region_outages,
+            "wan_bytes": self.wan_bytes,
+            "wan_dollar_cost": self.wan_dollar_cost,
             "cameras": [
                 {
                     "camera": entry.camera,
@@ -315,16 +320,6 @@ class FleetResult:
                 for entry in self.cameras
             ],
         }
-        if self.region_metrics:
-            # federated runs only: absent keys keep every pre-federation
-            # (and degenerate 1-region) fingerprint byte-identical
-            payload["region_metrics"] = list(self.region_metrics)
-            payload["region_selector"] = self.region_selector
-            payload["num_region_migrations"] = self.num_region_migrations
-            payload["num_region_job_handoffs"] = self.num_region_job_handoffs
-            payload["num_region_outages"] = self.num_region_outages
-            payload["wan_bytes"] = self.wan_bytes
-            payload["wan_dollar_cost"] = self.wan_dollar_cost
         return stable_digest(payload, length=64)
 
     @property
@@ -613,17 +608,6 @@ class FleetSession:
         self.cluster: CloudCluster | None = (
             self.federation.regions[0].cluster if len(regions) == 1 else None
         )
-        # a degenerate federation — one region, zero-priced WAN, no
-        # outage process, no replication — journals and fingerprints
-        # without the region block, byte-identical to the runs recorded
-        # before the federation layer existed; the golden pins hold it
-        self._degenerate = (
-            len(regions) == 1
-            and self.federation.regions[0].wan.cost_per_gb == 0.0
-            and not self._scripted_region_outages
-            and (faults is None or not faults.injects_region_outages)
-            and replication_interval_seconds is None
-        )
         self.faults = faults
         self.cameras = list(cameras)
         self.student = student
@@ -716,27 +700,8 @@ class FleetSession:
         a session whose configuration differs, and two runs can only
         produce byte-identical journals if they agree here first.
         """
-        # the flat fields describe region 0: a degenerate federation
-        # journals exactly the single-cluster header
-        region = self.federation.regions[0]
-        meta_cluster = region.cluster
-        meta_link_config = region.link.config
-        revocations = None
-        if meta_cluster.revocations is not None:
-            process = meta_cluster.revocations
-            revocations = {
-                "scripted": process.scripted,
-                "seed": process.seed,
-                "mean_uptime_seconds": process.mean_uptime_seconds,
-                # seeded processes have no scripted trace to pin; their
-                # draws are reproduced from (seed, provision history)
-                "trace": (
-                    None
-                    if process.trace is None
-                    else [list(entry) for entry in process.trace]
-                ),
-            }
-        meta = {
+        fed = self.federation
+        return {
             "kind": "fleet",
             "cameras": [
                 {
@@ -750,47 +715,17 @@ class FleetSession:
                 }
                 for spec in self.cameras
             ],
-            "scheduler": meta_cluster.scheduler_name,
-            "placement": meta_cluster.placement_name,
-            "num_gpus": meta_cluster.num_gpus,
-            "worker_specs": [
-                {
-                    "tier": spec.tier,
-                    "speed": spec.speed,
-                    "cost_per_gpu_second": spec.cost_per_gpu_second,
-                    "preemptible": spec.preemptible,
-                    "batch_scaling": spec.batch_scaling,
-                }
-                for spec in meta_cluster.worker_specs
-            ],
-            "batching": (
-                None if meta_cluster.batcher is None else meta_cluster.batcher.describe()
-            ),
-            "revocations": revocations,
-            "revocation_mode": meta_cluster.revocation_mode,
-            "autoscaler": region.autoscaler.name,
             "faults": None if self.faults is None else self.faults.fingerprint(),
             "batch_overhead_seconds": self.batch_overhead_seconds,
-            "link": {
-                "uplink_kbps": meta_link_config.uplink_kbps,
-                "downlink_kbps": meta_link_config.downlink_kbps,
-                "rtt_seconds": meta_link_config.rtt_seconds,
-            },
             "replay_seed": (
                 None if self.replay_seed is None else _replay_seed_digest(*self.replay_seed)
             ),
+            "regions": [region.describe() for region in fed.regions],
+            "selector": fed.selector.name,
+            "failover": fed.failover,
+            "replication_interval_seconds": fed.replication_interval_seconds,
+            "region_outages": [list(outage) for outage in self._scripted_region_outages],
         }
-        if not self._degenerate:
-            meta["regions"] = [region.describe() for region in self.federation.regions]
-            meta["selector"] = self.federation.selector.name
-            meta["failover"] = self.federation.failover
-            meta["replication_interval_seconds"] = (
-                self.federation.replication_interval_seconds
-            )
-            meta["region_outages"] = [
-                list(outage) for outage in self._scripted_region_outages
-            ]
-        return meta
 
     # -- execution ------------------------------------------------------------
     def run(self, journal: object | None = None) -> FleetResult:
@@ -930,19 +865,6 @@ class FleetSession:
             for region in fed.regions
             if isinstance(region.link, FaultySharedLink)
         ]
-        region_fields: dict = {}
-        if not self._degenerate:
-            # region telemetry gates the fingerprint's extra block, so a
-            # degenerate run (empty here) fingerprints as a lone cluster
-            region_fields = {
-                "region_metrics": fed.region_metrics(duration),
-                "region_selector": fed.selector.name,
-                "num_region_migrations": fed.num_region_migrations,
-                "num_region_job_handoffs": fed.num_region_job_handoffs,
-                "num_region_outages": fed.num_region_outages,
-                "wan_bytes": fed.wan_bytes,
-                "wan_dollar_cost": fed.wan_dollar_cost(),
-            }
         result = FleetResult(
             cameras=camera_results,
             queue_waits=queue_waits,
@@ -1023,7 +945,13 @@ class FleetSession:
             num_labeled_frames=sum(
                 len(job.batch) for c in clusters for job in c.completed_jobs
             ),
-            **region_fields,
+            region_metrics=fed.region_metrics(duration),
+            region_selector=fed.selector.name,
+            num_region_migrations=fed.num_region_migrations,
+            num_region_job_handoffs=fed.num_region_job_handoffs,
+            num_region_outages=fed.num_region_outages,
+            wan_bytes=fed.wan_bytes,
+            wan_dollar_cost=fed.wan_dollar_cost(),
         )
         if journal is not None:
             journal.finish(result.fingerprint())

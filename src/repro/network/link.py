@@ -45,8 +45,8 @@ class WanProfile:
 
     Extends the in-region :class:`LinkConfig` shape with a dollar price
     per gigabyte crossed, so region selectors can trade latency against
-    egress cost.  ``cost_per_gb=0`` makes the WAN free — the degenerate
-    profile used by the single-cluster golden pin.
+    egress cost.  ``cost_per_gb=0`` makes the WAN free — the default
+    profile of a one-region fleet.
     """
 
     uplink_kbps: float = 10_000.0

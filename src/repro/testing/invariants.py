@@ -147,14 +147,13 @@ def check_invariants(session, result) -> str | None:
     if len(completed) != labeled:
         return "completion_count"
     metrics = result.region_metrics
-    if metrics:
-        wan = sum(m["wan_dollar_cost"] for m in metrics)
-        if abs(result.wan_dollar_cost - wan) > 1e-9:
-            return "wan_cost_split"
-        if sum(m["num_cameras_homed"] for m in metrics) != len(session.cameras):
-            return "camera_homing"
-        migrations_in = sum(m["num_migrations_in"] for m in metrics)
-        migrations_away = sum(m["num_migrations_away"] for m in metrics)
-        if not migrations_in == migrations_away == result.num_region_migrations:
-            return "migration_balance"
+    wan = sum(m["wan_dollar_cost"] for m in metrics)
+    if abs(result.wan_dollar_cost - wan) > 1e-9:
+        return "wan_cost_split"
+    if sum(m["num_cameras_homed"] for m in metrics) != len(session.cameras):
+        return "camera_homing"
+    migrations_in = sum(m["num_migrations_in"] for m in metrics)
+    migrations_away = sum(m["num_migrations_away"] for m in metrics)
+    if not migrations_in == migrations_away == result.num_region_migrations:
+        return "migration_balance"
     return None

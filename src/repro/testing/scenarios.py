@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import CameraSpec, FaultPlan, FleetSession, ShoggothConfig
-from repro.network.link import LinkConfig, WanProfile
+from repro.network.link import WanProfile
 from repro.core.autoscaling import autoscaler_from_fingerprint, build_autoscaler
 from repro.core.faults import CRASH_RECOVERY_MODES
 from repro.core.federation import SELECTORS, RegionSpec
@@ -300,10 +300,15 @@ def scenario_from_journal_meta(meta: dict) -> dict:
     Best-effort inverse of :meth:`~repro.core.fleet.FleetSession.
     _journal_meta` for runs built by :func:`session_from_scenario` (or
     shaped like them): camera count and frames come from the cameras
-    list, the batching policy name is parsed off its parameterised
-    ``describe()`` string, and the autoscaler — journaled by bare name
-    — is rebuilt with default knobs.  Raises :class:`ValueError` for
-    journals whose camera list this module's cycles cannot express.
+    list, the shape knobs from the first region (a scenario applies
+    them to every region), the batching policy name is parsed off its
+    parameterised ``describe()`` string, and the autoscaler — journaled
+    by bare name — is rebuilt with default knobs.  One region named
+    ``"default"`` is a scenario without a ``"regions"`` key, whose WAN
+    gives the link overrides; any other region list recovers the
+    selector and one WAN profile per region.  Raises
+    :class:`ValueError` for journals whose camera list this module's
+    cycles cannot express.
     """
     cameras = meta.get("cameras") or []
     if not cameras:
@@ -316,27 +321,27 @@ def scenario_from_journal_meta(meta: dict) -> dict:
         )
     if meta.get("faults") is None:
         raise ValueError("journal records a faults-off run; nothing to shrink")
-    batching = meta.get("batching")
-    autoscaler_name = meta.get("autoscaler", "none")
+    regions = meta["regions"]
+    first = regions[0]
     scenario = {}
-    link = meta.get("link") or {}
-    defaults = LinkConfig()
-    if link.get("uplink_kbps", defaults.uplink_kbps) != defaults.uplink_kbps:
-        scenario["uplink_kbps"] = link["uplink_kbps"]
-    if link.get("downlink_kbps", defaults.downlink_kbps) != defaults.downlink_kbps:
-        scenario["downlink_kbps"] = link["downlink_kbps"]
-    if meta.get("regions"):
-        # federated journal: selector + per-region WAN profiles recover
-        # the region axes; the outage process rides in the fault plan
+    if [region["name"] for region in regions] == ["default"]:
+        defaults = WanProfile()
+        for key in ("uplink_kbps", "downlink_kbps"):
+            if first["wan"][key] != getattr(defaults, key):
+                scenario[key] = first["wan"][key]
+    else:
+        # the outage process rides in the fault plan
         scenario["regions"] = {
             "selector": meta["selector"],
-            "wan": [dict(region["wan"]) for region in meta["regions"]],
+            "wan": [dict(region["wan"]) for region in regions],
         }
+    batching = first["batching"]
+    autoscaler_name = first["autoscaler"]
     return scenario | {
         "n_cameras": len(cameras),
         "num_frames": frames.pop(),
-        "num_gpus": meta["num_gpus"],
-        "scheduler": meta["scheduler"],
+        "num_gpus": first["num_gpus"],
+        "scheduler": first["scheduler"],
         "batching": None if batching is None else batching.split("(")[0],
         "autoscaler": (
             None

@@ -249,20 +249,12 @@ class ChaosShrinker:
         changed |= self._shrink_toggle(
             lambda: self._with_plan("mean_time_between_crashes", None)
         )
-
-        def _no_partitions() -> dict:
-            candidate = json.loads(canonical_dumps(self.current))
-            candidate["fault_plan"].pop("mean_time_between_partitions", None)
-            candidate["fault_plan"].pop("mean_partition_seconds", None)
-            return candidate
-
-        changed |= self._shrink_toggle(_no_partitions)
+        changed |= self._shrink_toggle(
+            lambda: self._with_plan("mean_time_between_partitions", None)
+        )
 
         def _no_region_outages() -> dict:
-            candidate = json.loads(canonical_dumps(self.current))
-            candidate["fault_plan"].pop("mean_time_between_region_outages", None)
-            candidate["fault_plan"].pop("mean_region_outage_seconds", None)
-            return candidate
+            return self._with_plan("mean_time_between_region_outages", None)
 
         def _no_regions() -> dict:
             candidate = _no_region_outages()

@@ -8,7 +8,9 @@ what one run computes and compares the digests with constants.  They
 were first recorded before the NumPy fast paths of ``repro.nn``,
 ``repro.detection`` and ``repro.video.render`` were written, and
 re-recorded once, with the code unchanged, when the run moved to one
-BLAS thread:
+BLAS thread.  The fingerprint alone was re-recorded once more when
+every fleet result began to carry its region block; every other digest
+held:
 
 * every rendered frame (the offline pretraining set, the replay seed and
   both camera streams), per renderer;
@@ -64,7 +66,7 @@ GOLDEN = {
     "student[1].outputs": "ec929ba3d4cc3e3b",
     "student[1].detections": "0825270c9de3ec2b",
     "student[1].weights": "b366ecbd8a539476",
-    "fingerprint": "9f2c49c008fd1cb1",
+    "fingerprint": "f73ae1632610f076",
 }
 
 

@@ -193,4 +193,4 @@ def test_run_fleet_folds_a_ready_link_as_its_config():
         )
         assert result.fleet.num_lost_messages > 0
     assert journals[0].serialize() == journals[1].serialize()
-    assert journals[0].meta["link"]["uplink_kbps"] == 3_000.0
+    assert journals[0].meta["regions"][0]["wan"]["uplink_kbps"] == 3_000.0

@@ -2,12 +2,11 @@
 
 The contract under test, in order of importance:
 
-* **golden pin** — ``regions=None`` builds a one-region federation
-  from the per-cluster arguments, and that *degenerate* federation
-  (one region, free WAN, no outages, no replication) is the same run
-  as an explicit one-region ``RegionSpec`` **bit-for-bit**: same
-  :meth:`~repro.core.fleet.FleetResult.fingerprint`, byte-identical
-  journal, no region block — with and without chaos;
+* **golden pins** — the one-region fleet (``regions=None``, one
+  free-WAN ``RegionSpec("default")``) and a two-region fleet are held
+  to constant :meth:`~repro.core.fleet.FleetResult.fingerprint` and
+  journal digests, with and without chaos; every run journals and
+  fingerprints its region block;
 * **region selection** — each :class:`~repro.core.federation.RegionSelector`
   homes cameras by its objective, above the per-cluster placement;
 * **cross-region failover** — a scripted
@@ -22,6 +21,9 @@ The contract under test, in order of importance:
 """
 
 from __future__ import annotations
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -88,39 +90,51 @@ def chaos_plan() -> FaultPlan:
 # ---------------------------------------------------------------------------
 # golden pins
 # ---------------------------------------------------------------------------
-def test_degenerate_federation_is_bit_identical_to_plain():
-    """One free-WAN region must reproduce the plain run byte-for-byte."""
-    plain_journal, fed_journal = EventJournal(), EventJournal()
-    plain = build_fleet().run(journal=plain_journal)
-    federated = build_fleet(regions=[RegionSpec(name="solo")]).run(
-        journal=fed_journal
-    )
-    assert fleet_fingerprint(plain) == fleet_fingerprint(federated)
-    assert plain_journal.serialize() == fed_journal.serialize()
-    # the degenerate run journals and fingerprints NO region block at
-    # all — pre-federation journals stay replayable forever
-    assert "regions" not in fed_journal.meta
-    assert federated.region_metrics == []
+#: (fingerprint, journal sha256) of the pinned runs below
+PINS = {
+    "one_region": (
+        "f83e60e5d4ec9af5555dded7393da4eaf42b3d849c9617cadead86d0ca030e4a",
+        "0df09a50961e435a9e37f9fc52b42dd534fcd574ee919bc64924fa91ae0ef2ed",
+    ),
+    "one_region_chaos": (
+        "0b66df9a5d4f9eb7ef8225827a97cba64aa6eee74663f6876d257574b54f537e",
+        "f363606069864ca4f293d4964734eb319b82346d7794a5b55327fbe67d17ccd0",
+    ),
+    "two_regions": (
+        "3fddc5da007da7b7d7282f0f3a00d056eef012a82165c11505aeae566291946a",
+        "ddfd66a629e1fa72fde86a584366f210711fc4bc1e320b3607ea848dadc78a1d",
+    ),
+}
 
 
-def test_degenerate_federation_pin_holds_under_chaos():
-    """The pin survives the full fault machinery (the hard half: the
-    degenerate federation must consume the *legacy* partition stream and
-    schedule every crash/retry in the plain order)."""
-    plain_journal, fed_journal = EventJournal(), EventJournal()
-    plain = build_fleet(num_frames=90, faults=chaos_plan()).run(
-        journal=plain_journal
-    )
-    federated = build_fleet(
-        num_frames=90, regions=[RegionSpec(name="solo")], faults=chaos_plan()
-    ).run(journal=fed_journal)
-    assert fleet_fingerprint(plain) == fleet_fingerprint(federated)
-    assert plain_journal.serialize() == fed_journal.serialize()
-    assert plain.num_messages_sent > 0  # the chaos actually ran
+def pinned_digests(session: FleetSession):
+    """Run ``session`` journaled: (result, (fingerprint, journal sha256))."""
+    journal = EventJournal()
+    result = session.run(journal=journal)
+    assert journal.result_fingerprint == fleet_fingerprint(result)
+    return result, (result.fingerprint(), hashlib.sha256(journal.serialize()).hexdigest())
+
+
+def test_one_region_run_is_pinned():
+    """The default fleet is one free-WAN region named "default"."""
+    session = build_fleet()
+    result, digests = pinned_digests(session)
+    assert digests == PINS["one_region"]
+    assert [region.name for region in session.federation.regions] == ["default"]
+    assert [m["region"] for m in result.region_metrics] == ["default"]
+    assert result.wan_bytes > 0.0 and result.wan_dollar_cost == 0.0
+
+
+def test_one_region_chaos_run_is_pinned():
+    """The pin holds under the full fault machinery: region 0's
+    partition stream, crashes and retries."""
+    result, digests = pinned_digests(build_fleet(num_frames=90, faults=chaos_plan()))
+    assert digests == PINS["one_region_chaos"]
+    assert result.num_messages_sent > 0  # the chaos actually ran
 
 
 def test_degenerate_requires_free_wan():
-    """A paid-WAN single region is NOT degenerate: it meters and bills."""
+    """A paid-WAN single region bills its egress; the default one is free."""
     result = build_fleet(
         regions=[RegionSpec(name="paid", wan=WanProfile(cost_per_gb=5.0))]
     ).run()
@@ -377,18 +391,15 @@ def test_dollar_cost_closes_over_compute_and_wan():
     )
 
 
-def test_region_fingerprint_block_is_conditional():
-    # The region block joins the fingerprint payload only when region
-    # telemetry exists: degenerate federations digest exactly like the
-    # plain path, while a real federation carries (and digests) it.
-    plain = build_fleet().run()
-    degenerate = build_fleet(regions=[RegionSpec(name="solo")]).run()
-    federated = build_fleet(regions=two_regions()).run()
-    assert degenerate.region_metrics == []
-    assert degenerate.fingerprint() == plain.fingerprint()
-    assert federated.region_metrics
-    assert federated.region_selector
-    assert federated.fingerprint() != plain.fingerprint()
+def test_region_block_is_always_fingerprinted():
+    """One region or two, the result carries and digests its region block."""
+    federated, digests = pinned_digests(build_fleet(regions=two_regions()))
+    assert digests == PINS["two_regions"]
+    assert [m["region"] for m in federated.region_metrics] == ["near", "far"]
+    one = build_fleet().run()
+    assert one.region_selector == federated.region_selector
+    moved = dataclasses.replace(one, num_region_outages=1)
+    assert moved.fingerprint() != one.fingerprint()
 
 
 def test_federation_validation_errors():

@@ -212,7 +212,8 @@ def test_chaos_grid_covers_the_fault_axes():
         "autoscaler": [bool(s["autoscaler"]) for s in scenarios],
         "batching": [bool(s["batching"]) for s in scenarios],
         "partitions": [
-            "mean_time_between_partitions" in s["fault_plan"] for s in scenarios
+            s["fault_plan"]["mean_time_between_partitions"] is not None
+            for s in scenarios
         ],
         "crashes": [
             s["fault_plan"]["mean_time_between_crashes"] is not None
@@ -254,11 +255,12 @@ def test_region_chaos_grid_covers_the_region_axes():
     ), "no region in the window charges WAN egress"
     axes = {
         "region_outages": [
-            "mean_time_between_region_outages" in s["fault_plan"]
+            s["fault_plan"]["mean_time_between_region_outages"] is not None
             for s in scenarios
         ],
         "partitions": [
-            "mean_time_between_partitions" in s["fault_plan"] for s in scenarios
+            s["fault_plan"]["mean_time_between_partitions"] is not None
+            for s in scenarios
         ],
     }
     for axis, hits in axes.items():

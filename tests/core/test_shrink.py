@@ -83,6 +83,16 @@ def test_scenario_recovered_from_a_journal_journals_the_same_header(seed, region
     assert journaled_meta(scenario_from_journal_meta(meta)) == meta
 
 
+def test_scenario_recovered_from_a_journal_keeps_its_link_overrides():
+    scenario = chaos_scenario(1, partitions=True) | {
+        "num_frames": MIN_FRAMES,
+        "uplink_kbps": 640_000.0,
+        "downlink_kbps": 1_280_000.0,
+    }
+    recovered = scenario_from_journal_meta(journaled_meta(scenario))
+    assert recovered == scenario
+
+
 @pytest.fixture(scope="module")
 def clean_run():
     """One short chaos run that passes every law (for doctoring)."""
@@ -255,7 +265,7 @@ def test_shrinker_converges_to_a_minimal_case():
     assert scenario["autoscaler"] is None
     assert scenario["batching"] is None
     assert plan["mean_time_between_crashes"] is None
-    assert "mean_time_between_partitions" not in plan
+    assert plan["mean_time_between_partitions"] is None
     assert plan["max_attempts"] == 1
     assert plan["duplicate_rate"] > 0.0
     nonzero = [

