@@ -6,9 +6,8 @@ cluster (GPUs, placement, scheduler, batching, autoscaler, spot
 revocations) behind a :class:`~repro.network.link.SharedLink` built
 from a distinct :class:`~repro.network.link.WanProfile` (latency /
 bandwidth / $-per-GB egress).  A session built without
-``regions=[...]`` is one region named ``"default"`` behind a free
-WAN.  On top
-of the regions sit the three control loops a geo-distributed
+``regions=[...]`` is one region named ``"default"`` behind a free WAN.
+On top of the regions sit the three control loops a geo-distributed
 deployment needs:
 
 * **region selection** — a pluggable :class:`RegionSelector` layer

@@ -245,6 +245,22 @@ def test_oracle_names_the_broken_law(signature, run, doctor, request, monkeypatc
     assert check_invariants(session, doctored) == signature
 
 
+@pytest.mark.parametrize(
+    "signature, doctor",
+    [
+        ("wan_cost_split", bump("wan_dollar_cost")),
+        ("camera_homing", bump_region("num_cameras_homed")),
+        ("migration_balance", bump_region("num_migrations_in")),
+    ],
+    ids=["wan_cost_split", "camera_homing", "migration_balance"],
+)
+def test_region_laws_check_one_region_runs(signature, doctor, clean_run):
+    """A one-region fleet reports its region too, and the laws read it."""
+    session, result = clean_run
+    assert len(result.region_metrics) == 1
+    assert check_invariants(session, doctor(session, result, None)) == signature
+
+
 def test_passing_config_reports_no_failure_found():
     scenario = chaos_scenario(PASSING_SEED, partitions=True, autoscaler=True)
     shrinker = ChaosShrinker(scenario, budget=3, planted_bug="dedup_off")
