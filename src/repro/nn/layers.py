@@ -46,14 +46,28 @@ class Parameter:
     layers before the replay layer" rule without having to rebuild optimizer
     state: the optimizer multiplies its learning rate by this factor.
     Setting ``trainable = False`` freezes the parameter entirely.
+
+    The gradient buffer is allocated as zeros on its first read, so a
+    copy of a model that never trains holds none.
     """
 
     def __init__(self, data: np.ndarray, name: str = "param") -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad: np.ndarray | None = None
         self.name = name
         self.trainable = True
         self.lr_scale = 1.0
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The accumulated gradient (zeros until a backward pass adds to it)."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,7 +78,8 @@ class Parameter:
         return int(self.data.size)
 
     def zero_grad(self) -> None:
-        self.grad.fill(0.0)
+        if self._grad is not None:
+            self._grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
@@ -285,17 +300,26 @@ class Conv2d(Module):
             out += self.bias.data
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate the weight and bias gradients; return the input's.
+
+        ``input_grad=False`` skips the input gradient (a product and a
+        ``col2im``) and returns None: a model's first layer, whose
+        input gradient nobody reads.
+        """
         if self._cache_cols is None or self._cache_shape is None:
             raise RuntimeError("backward called before a training-mode forward")
-        n, _, h, w = self._cache_shape
         grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w_flat = self.weight.data.reshape(self.out_channels, -1)
 
         self.weight.grad += (grad_flat.T @ self._cache_cols).reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_flat.sum(axis=0)
+        if not input_grad:
+            return None
 
+        w_flat = self.weight.data.reshape(self.out_channels, -1)
         grad_cols = grad_flat @ w_flat
         return F.col2im(
             grad_cols,

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.nn.layers import Module, Parameter
+from repro.nn.layers import Conv2d, Module, Parameter
 
 __all__ = ["Sequential"]
 
@@ -94,10 +94,14 @@ class Sequential(Module):
             x = self._layers[name].forward(x)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for name in reversed(self._names):
-            grad = self._layers[name].backward(grad)
-        return grad
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
+        """Backward through every layer; return the gradient w.r.t. the input.
+
+        A first :class:`~repro.nn.layers.Conv2d` takes images, whose
+        gradient nobody reads: it skips computing it, and None is
+        returned.
+        """
+        return self._backward_through(self._names, grad)
 
     def forward_until(self, x: np.ndarray, cut: str) -> np.ndarray:
         """Run layers strictly before ``cut`` and return the activations."""
@@ -126,9 +130,20 @@ class Sequential(Module):
             grad = self._layers[name].backward(grad)
         return grad
 
-    def backward_front(self, grad: np.ndarray, cut: str) -> np.ndarray:
-        """Continue the backward pass through the front layers (before ``cut``)."""
-        stop = self.index_of(cut)
-        for name in reversed(self._names[:stop]):
+    def backward_front(self, grad: np.ndarray, cut: str) -> np.ndarray | None:
+        """Continue the backward pass through the front layers (before ``cut``).
+
+        Returns what :meth:`backward` returns.
+        """
+        return self._backward_through(self._names[: self.index_of(cut)], grad)
+
+    def _backward_through(self, names: list[str], grad: np.ndarray) -> np.ndarray | None:
+        """Backward through ``names`` (in execution order), last first."""
+        for name in reversed(names[1:]):
             grad = self._layers[name].backward(grad)
-        return grad
+        if not names:
+            return grad
+        first = self._layers[names[0]]
+        if isinstance(first, Conv2d):
+            return first.backward(grad, input_grad=False)
+        return first.backward(grad)

@@ -58,6 +58,32 @@ class TestParameter:
         p = nn.Parameter(np.ones(3), name="w")
         assert p.trainable and p.lr_scale == 1.0 and p.size == 3
 
+    def test_gradient_is_allocated_on_first_read(self):
+        p = nn.Parameter(np.ones((3, 2)))
+        assert p._grad is None
+        grad = p.grad
+        assert grad.shape == (3, 2) and grad.dtype == np.float64
+        assert grad.flags.c_contiguous and not grad.any()
+        assert p.grad is grad  # one buffer, accumulated in place
+        p.grad += 2.0
+        p.grad *= 0.5
+        assert p.grad is grad and np.array_equal(grad, np.ones((3, 2)))
+
+    def test_zero_grad_on_an_untouched_model_allocates_nothing(self, rng):
+        model = nn.Sequential([
+            ("conv", nn.Conv2d(2, 3, 3, padding=1, rng=rng)),
+            ("fc", nn.Linear(4, 2, rng=rng)),
+        ])
+        model.zero_grad()
+        assert all(param._grad is None for param in model.parameters())
+
+    def test_zero_grad_clears_an_allocated_buffer_in_place(self):
+        p = nn.Parameter(np.ones(4))
+        p.grad += 1.0
+        grad = p.grad
+        p.zero_grad()
+        assert p.grad is grad and not grad.any()
+
 
 class TestLinear:
     def test_forward_shape(self, rng):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.detection.pretrain import generate_offline_dataset
+from repro.detection.student import StudentConfig, StudentDetector
 
 
 def small_model(rng) -> nn.Sequential:
@@ -119,3 +121,58 @@ class TestCutPointExecution:
         model_b.load_state_dict(model_a.state_dict())
         x = rng.normal(size=(2, 4))
         assert np.allclose(model_a.forward(x), model_b.forward(x))
+
+
+class TestSkippedInputGradient:
+    """A first ``Conv2d`` skips the input gradient; the rest is unchanged."""
+
+    @staticmethod
+    def trained_grads(skip: bool, cut: str | None) -> tuple[dict, object]:
+        """One training step of the student: its gradients, and what the
+        backward pass returned.  ``skip=False`` runs every layer's full
+        backward by hand, as the container did before it skipped."""
+        student = StudentDetector(StudentConfig(seed=5))
+        images, labels = generate_offline_dataset(4, seed=3)
+        targets = student.codec.encode_batch(labels)
+        model = student.model.train()
+        if cut is None:
+            outputs = model.forward(images)
+            front = model.layer_names
+        else:
+            outputs = model.forward_from(model.forward_until(images, cut), cut)
+            front = model.layers_before(cut)
+        _, grad = student.detection_loss(outputs, targets)
+        if cut is not None:
+            grad = model.backward_from_end(grad, cut)
+        if skip:
+            returned = model.backward(grad) if cut is None else model.backward_front(grad, cut)
+        else:
+            for name in reversed(front):
+                grad = model[name].backward(grad)
+            returned = grad
+        grads = {
+            f"{name}.{index}": param.grad.tobytes()
+            for name, layer in model.named_layers()
+            for index, param in enumerate(layer.parameters())
+        }
+        return grads, returned
+
+    @pytest.mark.parametrize("cut", [None, "conv3"])
+    def test_weight_and_bias_gradients_are_byte_identical(self, cut):
+        full, returned_full = self.trained_grads(False, cut)
+        skipped, returned_skipped = self.trained_grads(True, cut)
+        assert returned_full.shape == (4, 3, 32, 32)
+        assert returned_skipped is None
+        assert {"conv1.0", "conv1.1"} <= set(full)
+        assert skipped == full
+
+    def test_a_first_layer_other_than_conv_returns_the_input_gradient(self, rng):
+        model = small_model(rng)
+        x = rng.normal(size=(3, 4))
+        assert model.backward(np.ones_like(model.forward(x))).shape == x.shape
+
+    def test_conv2d_without_input_gradient_returns_none(self, rng):
+        conv = nn.Conv2d(2, 3, 3, padding=1, rng=rng)
+        out = conv.forward(rng.normal(size=(2, 2, 5, 5)))
+        assert conv.backward(np.ones_like(out), input_grad=False) is None
+        assert conv.weight.grad.any() and conv.bias.grad.any()
