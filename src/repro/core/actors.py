@@ -36,6 +36,7 @@ How messages travel between them is a :class:`Transport` policy:
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -900,7 +901,10 @@ class EdgeActor:
     ) -> None:
         self.camera_id = camera_id
         self.edge = edge
-        self.cloud_actor = cloud_actor
+        # the cloud keeps its cameras' actors (the federation's camera
+        # registry, each tenant's ``actor``): a strong reference back
+        # would make a finished run a cycle
+        self._cloud_actor = weakref.ref(cloud_actor)
         self.teacher = teacher
         self.options = options
         self.config = config
@@ -920,6 +924,11 @@ class EdgeActor:
         self.frames_seen = 0
         self.motion_total = 0.0
         self.upload_latencies: list[float] = []
+
+    @property
+    def cloud_actor(self) -> CloudActor:
+        """The cloud this camera uploads to (held weakly, owned elsewhere)."""
+        return self._cloud_actor()
 
     # -- event handlers -----------------------------------------------------
     def on_frame(self, frame: Frame, now: float, scheduler: EventScheduler) -> None:
@@ -1139,26 +1148,11 @@ class SessionKernel:
         self.autoscaler = autoscaler
         self.channel = channel
         self._journal = journal
-        # exact-type dispatch table: one dict lookup per event instead of
-        # an isinstance chain (the chain cost ~7 checks for the rarest
-        # event types, millions of times per fleet run); subclasses fall
-        # back to _resolve_handler once and are then cached by type
-        self._handlers: dict[type, Callable[[Event], None]] = {
-            FrameArrival: self._handle_frame,
-            UploadComplete: self._handle_upload,
-            LabelingDone: self._handle_labeling_done,
-            LabelsReady: self._handle_labels,
-            ModelDownloadComplete: self._handle_model_download,
-            TrainingDone: self._handle_training_done,
-            AutoscaleTick: self._handle_autoscale,
-            BatchTimeout: self._handle_batch_timeout,
-            RevocationEvent: self._handle_revocation,
-            WorkerCrashEvent: self._handle_crash,
-            LinkPartitionEvent: self._handle_link_partition,
-            RetryTimer: self._handle_retry_timer,
-            RegionOutageEvent: self._handle_region_outage,
-            ReplicationTick: self._handle_replication_tick,
-        }
+        # a per-kernel copy of the dispatch table: _resolve_handler
+        # caches event subclasses into it
+        self._handlers: dict[type, Callable[[SessionKernel, Event], None]] = dict(
+            self._HANDLERS
+        )
 
     def _schedule_next_frame(self, camera_id: int) -> None:
         frame = next(self.streams[camera_id], None)
@@ -1188,9 +1182,11 @@ class SessionKernel:
         handler = self._handlers.get(type(event))
         if handler is None:
             handler = self._resolve_handler(event)
-        handler(event)
+        handler(self, event)
 
-    def _resolve_handler(self, event: Event) -> "Callable[[Event], None]":
+    def _resolve_handler(
+        self, event: Event
+    ) -> "Callable[[SessionKernel, Event], None]":
         """isinstance fallback for Event subclasses; caches the concrete type."""
         for event_type, handler in list(self._handlers.items()):
             if isinstance(event, event_type):
@@ -1311,3 +1307,26 @@ class SessionKernel:
                 "is not a federation"
             )
         on_replication_tick(event, self.scheduler)
+
+    # exact-type dispatch table: one dict lookup per event instead of
+    # an isinstance chain (the chain cost ~7 checks for the rarest
+    # event types, millions of times per fleet run).  It holds plain
+    # functions, called as handler(kernel, event): a table of bound
+    # methods would make the kernel refer to itself, so a finished run
+    # could only be freed by the cyclic collector
+    _HANDLERS = {
+        FrameArrival: _handle_frame,
+        UploadComplete: _handle_upload,
+        LabelingDone: _handle_labeling_done,
+        LabelsReady: _handle_labels,
+        ModelDownloadComplete: _handle_model_download,
+        TrainingDone: _handle_training_done,
+        AutoscaleTick: _handle_autoscale,
+        BatchTimeout: _handle_batch_timeout,
+        RevocationEvent: _handle_revocation,
+        WorkerCrashEvent: _handle_crash,
+        LinkPartitionEvent: _handle_link_partition,
+        RetryTimer: _handle_retry_timer,
+        RegionOutageEvent: _handle_region_outage,
+        ReplicationTick: _handle_replication_tick,
+    }

@@ -51,6 +51,7 @@ measurement this layer exists for.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Sequence
 
@@ -349,7 +350,7 @@ class FleetBatcher:
     def __init__(self, policy: "BatchPolicy | str | None" = "greedy", **policy_kwargs) -> None:
         #: the flush/sizing policy (name or instance; see BATCH_POLICIES)
         self.policy = build_batch_policy(policy, **policy_kwargs)
-        self.cluster = None
+        self._cluster = None
         #: FIFO forming batch of admitted, not-yet-dispatched labeling jobs
         self.pending: deque[GpuJob] = deque()
         self._due = False
@@ -373,9 +374,18 @@ class FleetBatcher:
         """Mean jobs per dispatched merged batch (0.0 before any flush)."""
         return self.num_batched_jobs / self.num_batches if self.num_batches else 0.0
 
+    @property
+    def cluster(self):
+        """The bound cluster (None before :meth:`bind`)."""
+        return None if self._cluster is None else self._cluster()
+
     def bind(self, cluster) -> "FleetBatcher":
-        """Attach to a (duck-typed) cluster and reset per-run state."""
-        self.cluster = cluster
+        """Attach to a (duck-typed) cluster and reset per-run state.
+
+        The cluster owns its batcher, so the batcher refers back to it
+        weakly.
+        """
+        self._cluster = weakref.ref(cluster)
         self.policy.reset()
         self.pending.clear()
         self._due = False

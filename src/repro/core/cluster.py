@@ -68,6 +68,7 @@ trades against queue delay.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -455,7 +456,7 @@ class CloudCluster:
                     # that happened to label it: broadcast every
                     # measurement so no shard's φ-aware scheduler treats
                     # an already-measured camera as unmeasured drift
-                    label_observer=self._broadcast_label,
+                    label_observer=self._label_observer(),
                     spec=self.worker_specs[worker_id],
                 )
             )
@@ -507,6 +508,16 @@ class CloudCluster:
         event = RevocationEvent(time=time, worker_id=worker_id)
         self.armed_revocations[id(event)] = event
         self._event_scheduler.schedule(event)
+
+    def _label_observer(self) -> Callable[[int, float, float], None]:
+        """:meth:`_broadcast_label` for a worker, holding this cluster weakly.
+
+        The cluster owns its workers; a bound method in a worker would
+        refer back to its owner, and a finished run could then only be
+        freed by the cyclic collector.
+        """
+        broadcast = weakref.WeakMethod(self._broadcast_label)
+        return lambda camera_id, phi, now: broadcast()(camera_id, phi, now)
 
     def _broadcast_label(self, camera_id: int, phi: float, now: float) -> None:
         self._last_phi[camera_id] = (phi, now)
@@ -592,7 +603,7 @@ class CloudCluster:
             worker_id=len(self.workers),
             tenants=self.tenants,
             gpu_seconds_by_camera=self.gpu_seconds_by_camera,
-            label_observer=self._broadcast_label,
+            label_observer=self._label_observer(),
             spec=spec,
         )
         worker.provisioned_since = now

@@ -48,6 +48,7 @@ one-region federation's event records identical to a single cluster's.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -426,7 +427,13 @@ class FederatedTransport:
     """
 
     def __init__(self, federation: "Federation") -> None:
-        self.federation = federation
+        # the federation owns this transport: refer back weakly
+        self._federation = weakref.ref(federation)
+
+    @property
+    def federation(self) -> "Federation":
+        """The federation whose regions this transport routes over."""
+        return self._federation()
 
     # -- sending (route by the camera's current home) -----------------------
     def send_upload(self, scheduler, actor, upload, batch, alpha, lambda_usage, now):
