@@ -5,7 +5,8 @@ consumes it in :meth:`Module.backward`.  Gradients are accumulated into
 ``Parameter.grad`` and applied by an optimizer from :mod:`repro.nn.optim`.
 In eval mode the layers the student runs per frame (``Conv2d``,
 ``LeakyReLU``, ``MaxPool2d`` and the normalisation layers) keep no
-backward state and take the cheapest kernel that gives the same bits.
+backward state (``eval()`` drops what a training forward left) and take
+the cheapest kernel that gives the same bits.
 
 The design intentionally mirrors a small subset of the PyTorch module API
 (``parameters()``, ``train()``/``eval()``, named modules) so that the
@@ -39,6 +40,26 @@ __all__ = [
 ]
 
 
+class ReadOnlyArray:
+    """An attribute that stores a read-only float64 view of what is assigned.
+
+    A writer replaces the array instead of writing into it, so a
+    compiled eval plan (see :mod:`repro.nn.plan`) can tell by identity
+    that it went stale. The array the caller assigned stays writeable.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._slot = f"_{name}"
+
+    def __get__(self, obj: object, owner: type | None = None) -> np.ndarray:
+        return self if obj is None else getattr(obj, self._slot)
+
+    def __set__(self, obj: object, value: np.ndarray) -> None:
+        view = np.asarray(value, dtype=np.float64).view()
+        view.flags.writeable = False
+        setattr(obj, self._slot, view)
+
+
 class Parameter:
     """A trainable tensor: value, accumulated gradient and metadata.
 
@@ -49,10 +70,14 @@ class Parameter:
 
     The gradient buffer is allocated as zeros on its first read, so a
     copy of a model that never trains holds none.
+
+    ``data`` is a :class:`ReadOnlyArray`: a writer assigns a new array.
     """
 
+    data = ReadOnlyArray()
+
     def __init__(self, data: np.ndarray, name: str = "param") -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self._grad: np.ndarray | None = None
         self.name = name
         self.trainable = True
@@ -88,6 +113,10 @@ class Parameter:
 class Module:
     """Base class for all layers and containers."""
 
+    #: attributes holding what a training-mode forward keeps for the
+    #: backward pass; :meth:`eval` sets them to None
+    _training_state: tuple[str, ...] = ()
+
     def __init__(self) -> None:
         self.training = True
 
@@ -113,7 +142,14 @@ class Module:
         return self
 
     def eval(self) -> "Module":
+        """Switch to eval mode and release the backward pass's state.
+
+        A backward pass after ``eval()`` raises, as it does after an
+        eval-mode forward.
+        """
         self.training = False
+        for attr in self._training_state:
+            setattr(self, attr, None)
         for child in self.children():
             child.eval()
         return self
@@ -243,6 +279,8 @@ class Linear(Module):
 class Conv2d(Module):
     """2-D convolution over NCHW inputs implemented with im2col."""
 
+    _training_state = ("_cache_cols", "_cache_shape")
+
     def __init__(
         self,
         in_channels: int,
@@ -292,8 +330,6 @@ class Conv2d(Module):
         cols = F.im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
         if self.training:
             self._cache_cols, self._cache_shape = cols, x.shape
-        else:
-            self._cache_cols = self._cache_shape = None
         w_flat = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ w_flat.T
         if self.bias is not None:
@@ -340,6 +376,8 @@ class Conv2d(Module):
 class ReLU(Module):
     """Elementwise rectified linear unit."""
 
+    _training_state = ("_mask",)
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: np.ndarray | None = None
@@ -357,6 +395,8 @@ class ReLU(Module):
 class LeakyReLU(Module):
     """Leaky rectifier with a negative slope in [0, 1]."""
 
+    _training_state = ("_mask",)
+
     def __init__(self, negative_slope: float = 0.1) -> None:
         super().__init__()
         if not 0.0 <= negative_slope <= 1.0:
@@ -369,7 +409,6 @@ class LeakyReLU(Module):
         if self.training:
             self._mask = x > 0
             return np.where(self._mask, x, s * x)
-        self._mask = None
         if s == 0.0:
             # 0 * inf is NaN, so the max below would turn +inf into NaN
             return np.where(x > 0, x, s * x)
@@ -421,6 +460,8 @@ class Tanh(Module):
 class MaxPool2d(Module):
     """Max pooling over non-overlapping (or strided) windows of NCHW inputs."""
 
+    _training_state = ("_cache",)
+
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
         super().__init__()
         if kernel_size <= 0:
@@ -436,7 +477,6 @@ class MaxPool2d(Module):
         out_w = F.conv_output_size(w, k, s, 0)
         tiles = k == s and h % k == 0 and w % k == 0
         if not self.training:
-            self._cache = None
             # NaN windows take the argmax path; initial= allows an empty batch
             if tiles and not np.isnan(x.max(initial=-np.inf)):
                 return self._tournament(x)

@@ -17,14 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Module, Parameter
+from repro.nn.layers import Module, Parameter, ReadOnlyArray
 from repro.nn import initializers as init
 
 __all__ = ["BatchNorm1d", "BatchNorm2d", "BatchRenorm1d", "BatchRenorm2d"]
 
 
 class _BatchNormBase(Module):
-    """Shared machinery for BN/BRN over flat (N, C) or NCHW inputs."""
+    """Shared machinery for BN/BRN over flat (N, C) or NCHW inputs.
+
+    The running statistics are stored read-only, like parameter values:
+    an update assigns new arrays.
+    """
+
+    _training_state = ("_cache",)
+    running_mean = ReadOnlyArray()
+    running_var = ReadOnlyArray()
 
     def __init__(
         self,
@@ -97,7 +105,6 @@ class _BatchNormBase(Module):
         else:
             # gamma * x_hat + beta of the running statistics, in place on
             # one buffer: the same products and sums, so the same bits
-            self._cache = None
             out = flat - self.running_mean
             out /= np.sqrt(self.running_var + self.eps)
             out *= self.gamma.data

@@ -30,19 +30,22 @@ def analytic_grad_input(layer: nn.Module, x: np.ndarray) -> np.ndarray:
 
 
 def numeric_grad_params(layer: nn.Module, x: np.ndarray, eps: float = 1e-5) -> dict[str, np.ndarray]:
+    # parameter values are read-only: each probe assigns a perturbed copy
     grads = {}
     for param in layer.parameters():
-        g = np.zeros_like(param.data)
-        flat_d = param.data.reshape(-1)
+        value = param.data
+        g = np.zeros_like(value)
         flat_g = g.reshape(-1)
-        for i in range(flat_d.size):
-            orig = flat_d[i]
-            flat_d[i] = orig + eps
+        for i in range(value.size):
+            step = np.zeros(value.size)
+            step[i] = eps
+            step = step.reshape(value.shape)
+            param.data = value + step
             plus = float(np.sum(layer.forward(x)))
-            flat_d[i] = orig - eps
+            param.data = value - step
             minus = float(np.sum(layer.forward(x)))
-            flat_d[i] = orig
             flat_g[i] = (plus - minus) / (2 * eps)
+        param.data = value
         grads[param.name] = g
     return grads
 
