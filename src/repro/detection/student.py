@@ -20,6 +20,7 @@ from repro import nn
 from repro.detection.boxes import Detections
 from repro.detection.grid import CELL_CHANNELS, GridCodec, GridTargets
 from repro.nn.functional import sigmoid, softmax
+from repro.nn.plan import EvalPlan
 from repro.video.domains import NUM_CLASSES
 from repro.video.scene import GroundTruthBox
 
@@ -63,6 +64,7 @@ class StudentDetector:
         self.config = config or StudentConfig()
         self.codec = GridCodec(self.config.grid_size)
         self.model = self._build_model()
+        self._plan: EvalPlan | None = None
 
     # -- architecture -------------------------------------------------------
     def _norm2d(self, channels: int, name: str) -> nn.Module:
@@ -216,24 +218,41 @@ class StudentDetector:
             self.model.eval()
 
     def forward(self, images: np.ndarray) -> np.ndarray:
-        """Raw output maps ``(N, CELL_CHANNELS, S, S)``."""
+        """Raw output maps ``(N, CELL_CHANNELS, S, S)``, layer by layer."""
         self._check_images(images)
         return self.model.forward(images)
+
+    def infer(self, images: np.ndarray) -> np.ndarray:
+        """Raw output maps ``(N, CELL_CHANNELS, S, S)`` of the deployed model.
+
+        Switches to eval mode and runs the compiled eval plan
+        (:class:`~repro.nn.plan.EvalPlan`) on one image at a time, so an
+        image's maps do not depend on its batch. The plan is rebuilt
+        when a weight or normalisation statistic has been replaced
+        since it was compiled. It folds the norms into the convs, so
+        its maps differ from :meth:`forward`'s in the last bits.
+        """
+        self._check_images(images)
+        self._eval_mode()
+        if self._plan is None or not self._plan.is_current():
+            self._plan = EvalPlan(self.model)
+        return np.stack([self._plan.run(image) for image in images])
 
     def detect(self, image: np.ndarray, conf_threshold: float | None = None) -> Detections:
         """Run inference on a single CHW image and decode detections."""
         threshold = conf_threshold if conf_threshold is not None else self.config.conf_threshold
-        self._eval_mode()
-        output = self.forward(image[None])[0]
+        output = self.infer(image[None])[0]
         return self.codec.decode(output, conf_threshold=threshold, nms_iou=self.config.nms_iou)
 
     def detect_batch(
         self, images: np.ndarray, conf_threshold: float | None = None
     ) -> list[Detections]:
-        """Batched inference convenience used by evaluation code."""
+        """Batched inference convenience used by evaluation code.
+
+        ``detect_batch(images)[i]`` equals ``detect(images[i])``.
+        """
         threshold = conf_threshold if conf_threshold is not None else self.config.conf_threshold
-        self._eval_mode()
-        outputs = self.forward(images)
+        outputs = self.infer(images)
         return [
             self.codec.decode(out, conf_threshold=threshold, nms_iou=self.config.nms_iou)
             for out in outputs
@@ -241,8 +260,7 @@ class StudentDetector:
 
     def confidence_scores(self, image: np.ndarray) -> np.ndarray:
         """Per-cell objectness confidence (used for the α accuracy estimate)."""
-        self._eval_mode()
-        output = self.forward(image[None])[0]
+        output = self.infer(image[None])[0]
         return sigmoid(output[0])
 
     # -- training loss --------------------------------------------------------

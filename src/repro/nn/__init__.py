@@ -11,7 +11,9 @@ It provides the pieces the paper's adaptive-training design depends on:
   (:mod:`repro.nn.losses`),
 * a :class:`~repro.nn.sequential.Sequential` container with a *cut point*
   API used to implement latent replay (feeding cached activations into the
-  middle of the network).
+  middle of the network),
+* a compiled eval-mode forward pass with the norms folded into the convs
+  (:mod:`repro.nn.plan`), which the deployed student runs per frame.
 
 Everything operates on plain ``numpy.ndarray`` values in NCHW layout for
 image-shaped tensors and ``(N, F)`` for flat features.
@@ -45,6 +47,7 @@ from repro.nn.layers import (
 )
 from repro.nn.norm import BatchNorm1d, BatchNorm2d, BatchRenorm1d, BatchRenorm2d
 from repro.nn.sequential import Sequential
+from repro.nn.plan import EvalPlan
 from repro.nn.losses import (
     Loss,
     MSELoss,
@@ -86,6 +89,7 @@ __all__ = [
     "BatchRenorm1d",
     "BatchRenorm2d",
     "Sequential",
+    "EvalPlan",
     "Loss",
     "MSELoss",
     "BCEWithLogitsLoss",
