@@ -9,8 +9,12 @@ were first recorded before the NumPy fast paths of ``repro.nn``,
 ``repro.detection`` and ``repro.video.render`` were written, and
 re-recorded once, with the code unchanged, when the run moved to one
 BLAS thread.  The fingerprint alone was re-recorded once more when
-every fleet result began to carry its region block; every other digest
-held:
+every fleet result began to carry its region block.  The students'
+outputs and detections alone were re-recorded when inference moved to
+the compiled eval plan, which folds the norms into the convs: since
+then the outputs are those of :meth:`StudentDetector.infer`, not of
+the layer-by-layer ``forward``; every other digest held.  The digests
+cover:
 
 * every rendered frame (the offline pretraining set, the replay seed and
   both camera streams), per renderer;
@@ -21,8 +25,8 @@ held:
 * :meth:`FleetResult.fingerprint`.
 
 Any changed float anywhere in that pipeline fails it.  A change that is
-*meant* to move floats (float32 math, folding BatchNorm into the conv)
-re-records the constants in its own commit.
+*meant* to move floats (float32 math, say) re-records the constants in
+its own commit.
 
 OpenBLAS splits a product across its threads in a way that changes the
 rounding, so the digests depend on the BLAS thread count.  The run
@@ -60,11 +64,11 @@ GOLDEN = {
     "render[2]": "34bc7f6ef2f796d4",
     "render[3]": "88d0356f5a073864",
     "pretrained": "685bbf67c5590ceb",
-    "student[0].outputs": "e955fd8557ab821e",
-    "student[0].detections": "764d6fc114e185a1",
+    "student[0].outputs": "7dff74becde6e0a7",
+    "student[0].detections": "9fe95ab656a3396e",
     "student[0].weights": "685bbf67c5590ceb",
-    "student[1].outputs": "ec929ba3d4cc3e3b",
-    "student[1].detections": "0825270c9de3ec2b",
+    "student[1].outputs": "4c51a4b3150a6254",
+    "student[1].detections": "498ab45d1e9939aa",
     "student[1].weights": "b366ecbd8a539476",
     "fingerprint": "f73ae1632610f076",
 }
@@ -124,7 +128,7 @@ def model_digest(student: StudentDetector) -> str:
 def install(recorder: Recorder, monkeypatch: pytest.MonkeyPatch) -> None:
     """Observe rendering and student inference without changing either."""
     render = FrameRenderer.render
-    forward = StudentDetector.forward
+    infer = StudentDetector.infer
     detect = StudentDetector.detect
 
     def recorded_render(self, objects, domain):
@@ -132,8 +136,8 @@ def install(recorder: Recorder, monkeypatch: pytest.MonkeyPatch) -> None:
         recorder.update(recorder.key("render", self), array_bytes(image))
         return image
 
-    def recorded_forward(self, images):
-        output = forward(self, images)
+    def recorded_infer(self, images):
+        output = infer(self, images)
         key = recorder.key("student", self)
         recorder.update(f"{key}.outputs", array_bytes(output))
         return output
@@ -146,7 +150,7 @@ def install(recorder: Recorder, monkeypatch: pytest.MonkeyPatch) -> None:
         return detections
 
     monkeypatch.setattr(FrameRenderer, "render", recorded_render)
-    monkeypatch.setattr(StudentDetector, "forward", recorded_forward)
+    monkeypatch.setattr(StudentDetector, "infer", recorded_infer)
     monkeypatch.setattr(StudentDetector, "detect", recorded_detect)
 
 
