@@ -12,7 +12,7 @@ are skipped) into a few NumPy calls per stage, for one image at a time:
   too) and commutes with a maximum;
 * activations stay channels-last ``(H, W, C)``: a 3x3 im2col is one
   ``as_strided`` view copied by a reshape, a 1x1 conv a plain product,
-  and a pool a reshape and a ``max``.
+  and a pool a reshape and pairwise maxima.
 
 Folding moves the last bits of the output, so the plan is not exact:
 ``tests/detection/test_eval_plan.py`` bounds its distance from the

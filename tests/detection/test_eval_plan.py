@@ -32,16 +32,13 @@ from repro.video import build_dataset
 REFERENCE_BOUND = 1e-12
 
 
-def pretrained(norm: str) -> StudentDetector:
-    student = StudentDetector(StudentConfig(norm=norm, seed=3))
+@pytest.fixture(scope="module", params=["brn", "bn"])
+def student(request) -> StudentDetector:
+    """A pretrained student with each kind of norm."""
+    student = StudentDetector(StudentConfig(norm=request.param, seed=3))
     images, labels = generate_offline_dataset(48, seed=21)
     pretrain_student(student, images, labels, epochs=2, batch_size=16, seed=4)
     return student
-
-
-@pytest.fixture(scope="module", params=["brn", "bn"])
-def student(request) -> StudentDetector:
-    return pretrained(request.param)
 
 
 @pytest.fixture(scope="module")
