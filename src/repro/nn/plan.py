@@ -50,7 +50,7 @@ class _Stage(NamedTuple):
     stride: int
     padding: int
     pool: int | None
-    slope: float | None
+    act: LeakyReLU | None
 
 
 class EvalPlan:
@@ -123,7 +123,7 @@ class EvalPlan:
             stride=conv.stride,
             padding=conv.padding,
             pool=None if pool is None else pool.kernel_size,
-            slope=None if act is None else act.negative_slope,
+            act=act,
         )
 
     def is_current(self) -> bool:
@@ -137,8 +137,8 @@ class EvalPlan:
             x = _conv(x, stage)
             if stage.pool is not None:
                 x = _max_pool(x, stage.pool)
-            if stage.slope is not None:
-                x = _leaky_relu(x, stage.slope)
+            if stage.act is not None:
+                x = stage.act.forward(x)  # eval mode: elementwise, keeps no mask
         return x.transpose(2, 0, 1)
 
 
@@ -178,10 +178,3 @@ def _max_pool(x: np.ndarray, k: int) -> np.ndarray:
     rows = functools.reduce(np.maximum, (rows[:, i] for i in range(k)))
     cols = rows.reshape(oh, ow, k * c)
     return functools.reduce(np.maximum, (cols[:, :, j * c : (j + 1) * c] for j in range(k)))
-
-
-def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    """``LeakyReLU``'s eval formula (see :class:`~repro.nn.layers.LeakyReLU`)."""
-    if slope == 0.0:
-        return np.where(x > 0, x, slope * x)
-    return np.maximum(x, slope * x)
