@@ -7,9 +7,10 @@ are skipped) into a few NumPy calls per stage, for one image at a time:
 * each normalisation layer's eval affine is folded into the conv before
   it: ``scale = gamma / sqrt(var + eps)``, ``W' = W * scale`` and
   ``b' = (b - mean) * scale + beta``;
-* ``LeakyReLU`` runs after the max-pool, on a quarter of the values.
-  Its slope lies in [0, 1], so it is non-decreasing (in floating point
-  too) and commutes with a maximum;
+* where a ``k x k`` max-pool follows ``LeakyReLU``, the activation runs
+  after the pool, on ``1/k**2`` of the values. Its slope lies in [0, 1],
+  so it is non-decreasing (in floating point too) and commutes with a
+  maximum;
 * activations stay channels-last ``(H, W, C)``: a 3x3 im2col is one
   ``as_strided`` view copied by a reshape, a 1x1 conv a plain product,
   and a pool a reshape and pairwise maxima.
