@@ -24,6 +24,13 @@ cover:
   on the edge, seeded with latent replay);
 * :meth:`FleetResult.fingerprint`.
 
+A second pin does the same for the single-camera engine
+(:class:`~repro.core.session.CollaborativeSession`): one ``shoggoth``,
+one ``ams`` and one ``cloud_only`` session on the same pretrained
+student and replay seed.  It hashes each session's detections, its
+cloud GPU seconds, its bandwidth bytes, its training windows, its
+sampling-rate history and its student's final weights.
+
 Any changed float anywhere in that pipeline fails it.  A change that is
 *meant* to move floats (float32 math, say) re-records the constants in
 its own commit.
@@ -45,7 +52,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import CameraSpec, FleetSession, ShoggothConfig
+from repro.core import CameraSpec, FleetSession, ShoggothConfig, build_strategy
 from repro.detection import (
     StudentConfig,
     StudentDetector,
@@ -71,6 +78,28 @@ GOLDEN = {
     "student[1].detections": "498ab45d1e9939aa",
     "student[1].weights": "b366ecbd8a539476",
     "fingerprint": "f73ae1632610f076",
+}
+
+#: digests of the three single-camera sessions with one BLAS thread
+SESSION_GOLDEN = {
+    "shoggoth.detections": "268b1068953fea06",
+    "shoggoth.gpu": "abfd9a0034f3d3e6",
+    "shoggoth.bandwidth": "03faaf7ca98fb076",
+    "shoggoth.training": "65932c053ece115d",
+    "shoggoth.rates": "df92d042a9734619",
+    "ams.detections": "e423101fe4833363",
+    "ams.gpu": "468e992771a44bf1",
+    "ams.bandwidth": "79637c01bf231fd8",
+    "ams.training": "4f53cda18c2baa0c",
+    "ams.rates": "040af60eb8ef31cb",
+    "cloud_only.detections": "2620677cc36ef3f6",
+    "cloud_only.gpu": "f32ac8f16b30fb95",
+    "cloud_only.bandwidth": "7ebec0bfff0e62e7",
+    "cloud_only.training": "4f53cda18c2baa0c",
+    "cloud_only.rates": "4f53cda18c2baa0c",
+    "shoggoth.weights": "1ca44f7834f98869",
+    "ams.weights": "6039a416f5596ead",
+    "cloud_only.weights": "685bbf67c5590ceb",
 }
 
 
@@ -154,21 +183,33 @@ def install(recorder: Recorder, monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(StudentDetector, "detect", recorded_detect)
 
 
+def pretrained_student() -> StudentDetector:
+    student = StudentDetector(StudentConfig(seed=3))
+    images, labels = generate_offline_dataset(48, seed=21)
+    pretrain_student(student, images, labels, epochs=2, batch_size=16, seed=4)
+    return student
+
+
+def replay_seed_set() -> tuple:
+    return generate_offline_dataset(12, seed=22)
+
+
+def pinned_config() -> ShoggothConfig:
+    return (
+        ShoggothConfig(eval_stride=1)
+        .with_training(train_batch_size=4, replay_capacity=12, minibatch_size=8, epochs=1)
+        .with_sampling(initial_rate_fps=2.0)
+    )
+
+
 def pinned_run(monkeypatch: pytest.MonkeyPatch) -> dict[str, str]:
     """Pretrain, seed replay, and run one edge_only + one shoggoth camera."""
     recorder = Recorder()
     install(recorder, monkeypatch)
 
-    student = StudentDetector(StudentConfig(seed=3))
-    images, labels = generate_offline_dataset(48, seed=21)
-    pretrain_student(student, images, labels, epochs=2, batch_size=16, seed=4)
-    replay_seed = generate_offline_dataset(12, seed=22)
-
-    config = (
-        ShoggothConfig(eval_stride=1)
-        .with_training(train_batch_size=4, replay_capacity=12, minibatch_size=8, epochs=1)
-        .with_sampling(initial_rate_fps=2.0)
-    )
+    student = pretrained_student()
+    replay_seed = replay_seed_set()
+    config = pinned_config()
     cameras = [
         CameraSpec(
             name="edge",
@@ -203,6 +244,56 @@ def pinned_run(monkeypatch: pytest.MonkeyPatch) -> dict[str, str]:
     return digests
 
 
+def session_run() -> dict[str, str]:
+    """Run a shoggoth, an ams and a cloud_only session from one student."""
+    recorder = Recorder()
+    student = pretrained_student()
+    replay_seed = replay_seed_set()
+    teacher = TeacherDetector(TeacherConfig(seed=9))
+    runs = {}
+    weights = {}
+    for name in ("shoggoth", "ams", "cloud_only"):
+        camera_student = student.clone()
+        result = build_strategy(name).run(
+            dataset=build_dataset("kitti", num_frames=240),
+            student=camera_student,
+            teacher=teacher,
+            config=pinned_config(),
+            seed=41,
+            replay_seed=replay_seed,
+        )
+        runs[name] = result
+        for detections in result.detections_per_frame:
+            recorder.num_detections += len(detections)
+            recorder.update(f"{name}.detections", detection_bytes(detections))
+        recorder.update(f"{name}.gpu", float(result.cloud_gpu_seconds).hex().encode())
+        bandwidth = result.bandwidth
+        recorder.update(
+            f"{name}.bandwidth",
+            repr((bandwidth.uplink_bytes, bandwidth.downlink_bytes)).encode(),
+        )
+        recorder.update(
+            f"{name}.training",
+            repr(
+                [(w.start.hex(), w.end.hex(), w.report.num_steps)
+                 for w in result.training_windows]
+            ).encode(),
+        )
+        recorder.update(
+            f"{name}.rates",
+            repr([(t.hex(), r.hex()) for t, r in result.sampling_rate_history]).encode(),
+        )
+        weights[f"{name}.weights"] = model_digest(camera_student)
+    digests = {**recorder.digests(), **weights}
+    # the sessions must exercise what they pin: detections were decoded,
+    # shoggoth trained on the edge and ams streamed trained weights back
+    assert recorder.num_detections > 100
+    assert runs["shoggoth"].training_windows
+    assert digests["ams.weights"] != model_digest(student)
+    assert runs["cloud_only"].cloud_gpu_seconds > 0
+    return digests
+
+
 #: every thread-count variable a NumPy BLAS build may read
 SINGLE_THREADED = {
     "OPENBLAS_NUM_THREADS": "1",
@@ -211,12 +302,12 @@ SINGLE_THREADED = {
 }
 
 
-def single_threaded_digests() -> dict[str, str]:
-    """Run :func:`pinned_run` in a child process with one BLAS thread."""
+def single_threaded_digests(run: str = "fleet") -> dict[str, str]:
+    """Run ``run`` (``fleet`` or ``session``) in a child with one BLAS thread."""
     env = dict(os.environ, **SINGLE_THREADED)
     env["PYTHONPATH"] = os.pathsep.join(path for path in sys.path if path)
     child = subprocess.run(
-        [sys.executable, __file__],
+        [sys.executable, __file__, run],
         env=env,
         capture_output=True,
         text=True,
@@ -227,9 +318,16 @@ def single_threaded_digests() -> dict[str, str]:
 
 
 def test_fleet_run_is_bit_for_bit_pinned():
-    assert single_threaded_digests() == GOLDEN
+    assert single_threaded_digests("fleet") == GOLDEN
+
+
+def test_single_camera_sessions_are_bit_for_bit_pinned():
+    assert single_threaded_digests("session") == SESSION_GOLDEN
 
 
 if __name__ == "__main__":
-    with pytest.MonkeyPatch.context() as patch:
-        print(json.dumps(pinned_run(patch)))
+    if sys.argv[1:] == ["session"]:
+        print(json.dumps(session_run()))
+    else:
+        with pytest.MonkeyPatch.context() as patch:
+            print(json.dumps(pinned_run(patch)))
