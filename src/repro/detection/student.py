@@ -234,6 +234,9 @@ class StudentDetector:
         """
         self._check_images(images)
         self._eval_mode()
+        if len(images) == 0:
+            s = self.grid_size
+            return np.empty((0, CELL_CHANNELS, s, s))
         if self._plan is None or not self._plan.is_current():
             self._plan = EvalPlan(self.model)
         return np.stack([self._plan.run(image) for image in images])

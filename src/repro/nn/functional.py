@@ -74,7 +74,7 @@ def im2col(
     if n == 1:
         return np.array(windows[0], order="C").reshape(-1, out_h * out_w).T
     columns = np.array(windows.transpose(0, 4, 5, 1, 2, 3), order="C")
-    return columns.reshape(n * out_h * out_w, -1)
+    return columns.reshape(n * out_h * out_w, c * kernel_h * kernel_w)
 
 
 def col2im(

@@ -98,6 +98,14 @@ class TestStudentDetector:
         out = student.forward(np.random.default_rng(0).random((2, 3, 32, 32)))
         assert out.shape == (2, CELL_CHANNELS, 8, 8)
 
+    def test_empty_batch_gives_empty_maps(self):
+        student = StudentDetector(StudentConfig(seed=1))
+        empty = np.zeros((0, 3, 32, 32))
+        assert student.infer(empty).shape == (0, CELL_CHANNELS, 8, 8)
+        assert student.detect_batch(empty) == []
+        # infer left the model in eval mode: the layer path too
+        assert student.forward(empty).shape == (0, CELL_CHANNELS, 8, 8)
+
     def test_rejects_wrong_input(self):
         student = StudentDetector()
         with pytest.raises(ValueError):

@@ -27,6 +27,10 @@ class TestIm2Col:
         cols = F.im2col(x, 3, 3, 1, 1)
         assert cols.shape == (2 * 6 * 6, 3 * 3 * 3)
 
+    def test_empty_batch(self):
+        cols = F.im2col(np.zeros((0, 3, 8, 8)), 3, 3, stride=1, padding=1)
+        assert cols.shape == (0, 27)
+
     def test_identity_kernel_recovers_input(self):
         x = np.random.default_rng(0).normal(size=(2, 4, 5, 5))
         cols = F.im2col(x, 1, 1, 1, 0)
