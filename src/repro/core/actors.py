@@ -8,11 +8,12 @@ two actors driven by the :class:`~repro.runtime.events.EventScheduler`:
   bandwidth accountant, evaluation records, sampling-rate history) and
   handles :class:`FrameArrival`, :class:`LabelsReady`,
   :class:`TrainingDone` and :class:`ModelDownloadComplete` events;
-* :class:`CloudActor` — wraps one (possibly shared)
-  :class:`~repro.core.cloud.CloudServer`, owns the typed per-tenant
-  pools of labeled frames awaiting cloud-side training (AMS), the
-  unified GPU job queue used by fleet sessions (labeling uploads *and*
-  cloud-training jobs), and per-tenant GPU-seconds accounting; which
+* :class:`CloudActor` — one GPU worker around a (possibly shared)
+  :class:`~repro.core.cloud.CloudServer`; it owns the typed per-tenant
+  pools of labeled frames awaiting cloud-side training (AMS), each
+  tenant's cloud-resident student and trainer (AMS), the unified GPU
+  job queue (labeling uploads *and* cloud-training jobs), and
+  per-tenant GPU-seconds accounting; which
   queued jobs form each GPU busy period — and whether a job is admitted
   at all — is decided by a pluggable
   :class:`~repro.core.scheduling.GpuScheduler` (FIFO by default); the
@@ -24,9 +25,10 @@ How messages travel between them is a :class:`Transport` policy:
 * :class:`InstantTransport` reproduces the original monolithic-loop
   semantics exactly — uploads and labels arrive in the same simulated
   instant they are sent (only *accounted*, never delayed) and model
-  downloads use the closed-form point-to-point time.  This is what the
-  single-camera :class:`~repro.core.session.CollaborativeSession`
-  facade uses, which is why the refactor is behaviour-preserving.
+  downloads use the closed-form point-to-point time.  The single-camera
+  :class:`~repro.core.session.CollaborativeSession` facade pairs it
+  with a worker whose service takes no simulated time, so each upload
+  is labeled and answered in the instant it is sent.
 * :class:`SharedLinkTransport` pushes every message through a
   processor-sharing :class:`~repro.network.link.SharedLink`, so
   transfer times stretch as more cameras contend for the same pipe.
@@ -352,25 +354,25 @@ class _Tenant:
     controller: SamplingRateController | None = None
     #: typed pool of labeled frames awaiting cloud-side training (AMS)
     pool: list[LabeledFrame] = field(default_factory=list)
-    #: cloud-resident student copy + trainer (fleet AMS); None when the
-    #: tenant trains at the edge or uses the server's built-in trainer
+    #: cloud-resident student copy + trainer (AMS); None when the
+    #: tenant trains at the edge
     trainer: AdaptiveTrainer | None = None
     student: object | None = None
-    use_server_trainer: bool = False
 
 
 class CloudActor:
-    """Event-handling wrapper around one (shared) :class:`CloudServer`.
+    """One GPU worker around a (shared) :class:`CloudServer`.
 
-    In instant mode (single-camera facade) every upload is labeled the
-    moment it arrives, reproducing the monolithic loop.  In queued mode
-    (fleet) uploads — and, for schedulers with ``queue_training`` set,
-    AMS cloud-training jobs — join one unified GPU job queue; the
-    pluggable :class:`GpuScheduler` decides which queued jobs form each
-    GPU busy period and whether a job is admitted at all.  The default
+    Uploads — and, for schedulers with ``queue_training`` set, AMS
+    cloud-training jobs — join one unified GPU job queue; the pluggable
+    :class:`GpuScheduler` decides which queued jobs form each GPU busy
+    period and whether a job is admitted at all.  The default
     :class:`FifoScheduler` serves the whole queue as one merged
     multi-tenant teacher batch (batched teacher inference), exactly the
-    pre-scheduler behaviour.
+    pre-scheduler behaviour.  A worker with zero
+    ``batch_overhead_seconds`` and infinite :class:`WorkerSpec` speed
+    serves each upload in the instant it arrives; the single-camera
+    facade uses one.
 
     A sharded cloud (:class:`~repro.core.cluster.CloudCluster`) runs N
     of these actors as GPU workers: each keeps its own queue, scheduler
@@ -384,7 +386,6 @@ class CloudActor:
         self,
         cloud: CloudServer,
         transport: InstantTransport | SharedLinkTransport,
-        queued: bool = False,
         batch_overhead_seconds: float = 0.02,
         scheduler: GpuScheduler | None = None,
         worker_id: int = 0,
@@ -395,7 +396,6 @@ class CloudActor:
     ) -> None:
         self.cloud = cloud
         self.transport = transport
-        self.queued = queued
         self.batch_overhead_seconds = batch_overhead_seconds
         self.scheduler = scheduler or FifoScheduler()
         #: resource profile: speed multiplier, cost rate, spot flag.
@@ -462,26 +462,18 @@ class CloudActor:
         actor: "EdgeActor",
         schedule: object | None = None,
         controller: SamplingRateController | None = None,
-        use_server_trainer: bool = False,
         seed: int = 0,
         replay_seed: tuple | None = None,
         weight: float = 1.0,
     ) -> None:
-        """Attach one camera; fleet tenants get their own schedule/controller.
+        """Attach one camera with its own drift schedule and rate controller.
 
-        Tenants whose options train in the cloud (AMS) and do not use the
-        server's built-in trainer get a cloud-resident copy of their
-        student and a dedicated trainer, mirroring
-        :meth:`CloudServer.attach_cloud_student` per tenant.
+        Tenants whose options train in the cloud (AMS) get a
+        cloud-resident copy of their student and a dedicated trainer.
         """
-        tenant = _Tenant(
-            actor=actor,
-            schedule=schedule,
-            controller=controller,
-            use_server_trainer=use_server_trainer,
-        )
+        tenant = _Tenant(actor=actor, schedule=schedule, controller=controller)
         options = actor.options
-        if options.adapt and options.train_location == "cloud" and not use_server_trainer:
+        if options.adapt and options.train_location == "cloud":
             tenant.student = actor.edge.student.clone()
             tenant.trainer = AdaptiveTrainer(
                 tenant.student, actor.config.training, seed=seed
@@ -499,24 +491,6 @@ class CloudActor:
         self.gpu_seconds_by_camera[camera_id] = (
             self.gpu_seconds_by_camera.get(camera_id, 0.0) + seconds
         )
-
-    @property
-    def queue_waits(self) -> list[float]:
-        """Per-job labeling-queue delays (seconds), in completion order."""
-        return [job.wait_seconds for job in self.completed_jobs]
-
-    @property
-    def training_waits(self) -> list[float]:
-        """Queue delays of cloud-training jobs (empty under FIFO bypass)."""
-        return [job.wait_seconds for job in self.completed_training_jobs]
-
-    @property
-    def rejections_by_camera(self) -> dict[int, int]:
-        """How many uploads admission control turned away, per tenant."""
-        counts: dict[int, int] = {camera_id: 0 for camera_id in self.tenants}
-        for job in self.rejected_jobs:
-            counts[job.camera_id] = counts.get(job.camera_id, 0) + 1
-        return counts
 
     # -- event handlers -----------------------------------------------------
     def make_labeling_job(self, event: UploadComplete) -> GpuJob:
@@ -591,7 +565,7 @@ class CloudActor:
         scheduler: EventScheduler,
         enqueue: "Callable[[GpuJob, float, EventScheduler], object] | None" = None,
     ) -> None:
-        """Handle an arrived upload: label instantly, or queue the job.
+        """Handle an arrived upload: queue its labeling job.
 
         ``enqueue`` overrides where the job queues (default: this
         worker) — a cluster passes its placement hook here so the
@@ -600,12 +574,6 @@ class CloudActor:
         self.tenants[event.camera_id].actor.upload_latencies.append(
             event.time - event.sent_at
         )
-        if not self.queued:
-            response = self._label(event.camera_id, event.batch, event.alpha,
-                                   event.lambda_usage, event.time)
-            actor = self.tenants[event.camera_id].actor
-            self.transport.send_labels(scheduler, actor, response, event.time)
-            return
         enqueue = enqueue or self.enqueue_labeling
         enqueue(self.make_labeling_job(event), event.time, scheduler)
 
@@ -652,15 +620,15 @@ class CloudActor:
 
         Under schedulers with ``queue_training`` the filled pool becomes
         a :class:`GpuJob` competing with labeling uploads for the same
-        GPU; otherwise (FIFO default, and the single-camera instant
-        mode) training runs immediately on spare capacity, which is the
-        pre-scheduler behaviour.  ``enqueue`` overrides where a queued
-        training job lands (a cluster passes its placement hook).
+        GPU; otherwise (the FIFO default) training runs immediately on
+        spare capacity, which is the pre-scheduler behaviour.
+        ``enqueue`` overrides where a queued training job lands (a
+        cluster passes its placement hook).
         """
         pool = self.pool_labels(actor, labeled)
         if pool is None:
             return
-        if not (self.queued and self.scheduler.queue_training):
+        if not self.scheduler.queue_training:
             self.train_now(actor, pool, now, scheduler)
             return
         enqueue = enqueue or self.enqueue_training
@@ -853,18 +821,11 @@ class CloudActor:
     def _train_tenant(
         self, tenant: _Tenant, labeled: list[LabeledFrame]
     ) -> CloudTrainingResult:
-        camera_id = tenant.actor.camera_id
-        if tenant.use_server_trainer or tenant.trainer is None:
-            result = self.cloud.train_on_labels(labeled)
-            self.gpu_seconds_by_camera[camera_id] = (
-                self.gpu_seconds_by_camera.get(camera_id, 0.0) + result.gpu_seconds
-            )
-            return result
         images = np.stack([item.frame.image for item in labeled])
         targets = [item.pseudo_labels for item in labeled]
         report = tenant.trainer.train_session(images, targets)
         gpu_seconds = self.cloud.compute.training_seconds(report.num_steps)
-        self.note_gpu(camera_id, gpu_seconds)
+        self.note_gpu(tenant.actor.camera_id, gpu_seconds)
         return CloudTrainingResult(
             report=report,
             model_state=tenant.student.state_dict(),

@@ -446,7 +446,6 @@ class CloudCluster:
                 CloudActor(
                     cloud,
                     transport,
-                    queued=True,
                     batch_overhead_seconds=batch_overhead_seconds,
                     scheduler=scheduler,
                     worker_id=worker_id,
@@ -531,7 +530,6 @@ class CloudCluster:
         actor,
         schedule: object | None = None,
         controller: SamplingRateController | None = None,
-        use_server_trainer: bool = False,
         seed: int = 0,
         replay_seed: tuple | None = None,
         weight: float = 1.0,
@@ -541,7 +539,6 @@ class CloudCluster:
             actor,
             schedule=schedule,
             controller=controller,
-            use_server_trainer=use_server_trainer,
             seed=seed,
             replay_seed=replay_seed,
             weight=weight,
@@ -597,7 +594,6 @@ class CloudCluster:
         worker = CloudActor(
             self.cloud,
             self.transport,
-            queued=True,
             batch_overhead_seconds=self.batch_overhead_seconds,
             scheduler=scheduler,
             worker_id=len(self.workers),
@@ -806,8 +802,8 @@ class CloudCluster:
         worker.enqueue_training(job, now, scheduler)
 
     # -- event handlers (the cluster is cloud-addressable like one actor) -----
-    # The control flow (latency accounting, instant-vs-queued, pool /
-    # bypass-vs-queue branches) lives ONCE in CloudActor; the cluster
+    # The control flow (latency accounting, pool / bypass-vs-queue
+    # branches) lives ONCE in CloudActor; the cluster
     # only swaps the final enqueue step for a placement-aware one, so
     # the single-GPU and sharded clouds cannot drift apart.
     def on_upload(self, event: UploadComplete, scheduler: EventScheduler) -> None:

@@ -624,10 +624,7 @@ class FleetSession:
         self.batch_overhead_seconds = batch_overhead_seconds
 
         self.cloud = CloudServer(
-            teacher,
-            schedule=self.cameras[0].dataset.schedule,
-            config=self.config,
-            compute=self.cloud_compute,
+            teacher, config=self.config, compute=self.cloud_compute
         )
         self._ran = False
 

@@ -10,15 +10,17 @@ are expressed as option sets over this single engine
 
 :class:`CollaborativeSession` is a thin single-camera facade over the
 event-driven kernel (:mod:`repro.runtime.events`,
-:mod:`repro.core.actors`): it wires one :class:`EdgeActor` and one
-:class:`CloudActor` together with a zero-latency transport, which
-reproduces the original monolithic loop's results exactly.  Multi-camera
-sessions sharing one cloud and one uplink live in
-:mod:`repro.core.fleet`.
+:mod:`repro.core.actors`).  Its cloud is built the way a fleet builds a
+camera's: one queued GPU worker, whose service takes no simulated time,
+with the camera registered as a tenant (its own drift schedule,
+sampling-rate controller and, for AMS, cloud-side trainer).  Messages
+cross a zero-latency transport.  Multi-camera sessions sharing one cloud
+and one uplink live in :mod:`repro.core.fleet`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,8 @@ from repro.core.adaptive_training import AdaptiveTrainer, TrainingSessionReport
 from repro.core.cloud import CloudServer
 from repro.core.config import ShoggothConfig
 from repro.core.edge import EdgeDevice, TrainingWindow
+from repro.core.sampling import SamplingRateController
+from repro.core.scheduling import WorkerSpec
 from repro.detection.boxes import Detections
 from repro.detection.student import StudentDetector
 from repro.detection.teacher import TeacherDetector
@@ -129,11 +133,13 @@ def resolve_session_config(
 class CollaborativeSession:
     """Simulates one strategy over one dataset stream (single camera).
 
-    A facade over the event kernel: construction wires the same
-    :class:`EdgeDevice` / :class:`CloudServer` pair as always, and
-    :meth:`run` drives them through per-actor event handlers with an
-    instantaneous transport, which is exactly equivalent to the original
-    frame-by-frame loop.
+    A facade over the event kernel: construction builds the
+    :class:`EdgeDevice` and the :class:`CloudServer`, and :meth:`run`
+    drives them through per-actor event handlers.  The cloud is a queued
+    worker with zero batch overhead and infinite speed, so each upload
+    is labeled at the instant it arrives, and the transport delivers
+    labels in that same instant; this is exactly equivalent to the
+    original frame-by-frame loop.
     """
 
     def __init__(
@@ -151,13 +157,14 @@ class CollaborativeSession:
     ) -> None:
         self.dataset = dataset
         self.options = options or SessionOptions()
-        self.config = self._resolve_config(config)
+        self.config = resolve_session_config(config, self.options)
         self.student = student
         self.teacher = teacher
         self.link = link or NetworkLink()
         self.edge_compute = edge_compute or EdgeComputeModel()
         self.cloud_compute = cloud_compute or CloudComputeModel()
         self.seed = seed
+        self.replay_seed = replay_seed
 
         trainer = None
         if self.options.adapt and self.options.train_location == "edge":
@@ -172,19 +179,9 @@ class CollaborativeSession:
             seed=seed,
         )
         self.cloud = CloudServer(
-            teacher,
-            schedule=dataset.schedule,
-            config=self.config,
-            compute=self.cloud_compute,
+            teacher, config=self.config, compute=self.cloud_compute
         )
-        if self.options.adapt and self.options.train_location == "cloud":
-            self.cloud.attach_cloud_student(student, seed=seed, replay_seed=replay_seed)
-
         self.accountant = BandwidthAccountant()
-
-    # -- configuration -----------------------------------------------------
-    def _resolve_config(self, config: ShoggothConfig | None) -> ShoggothConfig:
-        return resolve_session_config(config, self.options)
 
     # -- main loop -------------------------------------------------------------
     def run(self) -> SessionResult:
@@ -205,7 +202,12 @@ class CollaborativeSession:
         stream = self.dataset.build()
         scheduler = EventScheduler()
         transport = InstantTransport(self.link)
-        cloud_actor = CloudActor(self.cloud, transport, queued=False)
+        cloud_actor = CloudActor(
+            self.cloud,
+            transport,
+            batch_overhead_seconds=0.0,
+            spec=WorkerSpec(speed=math.inf),
+        )
         edge_actor = EdgeActor(
             camera_id=0,
             edge=self.edge,
@@ -220,7 +222,13 @@ class CollaborativeSession:
             edge_compute=self.edge_compute,
             accountant=self.accountant,
         )
-        cloud_actor.register_camera(edge_actor, use_server_trainer=True)
+        cloud_actor.register_camera(
+            edge_actor,
+            schedule=self.dataset.schedule,
+            controller=SamplingRateController(self.config.sampling),
+            seed=self.seed,
+            replay_seed=self.replay_seed,
+        )
         kernel = SessionKernel(
             scheduler,
             edge_actors={0: edge_actor},

@@ -210,9 +210,7 @@ class TestClusterConstruction:
         from repro.network.link import SharedLink
 
         cluster = CloudCluster(num_gpus=2)
-        cloud = CloudServer(
-            teacher, schedule=build_dataset("detrac", num_frames=120).schedule
-        )
+        cloud = CloudServer(teacher)
         cluster.bind(cloud, SharedLinkTransport(SharedLink()))
         assert len(cluster.workers) == 2
         with pytest.raises(RuntimeError, match="already bound"):

@@ -7,6 +7,9 @@ collaborative pipeline.
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,9 @@ from repro.core import (
     estimate_alpha,
     STRATEGIES,
 )
+from repro.core.actors import CloudActor, InstantTransport
+from repro.core.sampling import SamplingRateController
+from repro.core.scheduling import WorkerSpec
 from repro.core.strategies import FixedRateShoggothStrategy
 from repro.detection import (
     Detections,
@@ -29,6 +35,8 @@ from repro.detection import (
     TeacherConfig,
     TeacherDetector,
 )
+from repro.network.link import NetworkLink
+from repro.runtime.events import EventScheduler, LabelingDone, LabelsReady, UploadComplete
 from repro.video import build_dataset
 from repro.video.datasets import make_stationary
 
@@ -144,9 +152,16 @@ class TestEdgeDevice:
 class TestCloudServer:
     def test_process_upload_returns_labels_and_rate(self, student, teacher):
         dataset = build_dataset("detrac", num_frames=120)
-        cloud = CloudServer(teacher, schedule=dataset.schedule, config=small_config())
+        config = small_config()
+        cloud = CloudServer(teacher, config=config)
         frames = dataset.build().collect(limit=5)
-        response = cloud.process_upload(frames, alpha=0.3, lambda_usage=0.8)
+        response = cloud.process_upload(
+            frames,
+            alpha=0.3,
+            lambda_usage=0.8,
+            schedule=dataset.schedule,
+            controller=SamplingRateController(config.sampling),
+        )
         assert len(response.labeled_frames) == 5
         assert 0.1 <= response.new_sampling_rate <= 2.0
         assert 0.0 <= response.phi <= 1.0
@@ -154,30 +169,63 @@ class TestCloudServer:
 
     def test_empty_upload_raises(self, teacher):
         dataset = build_dataset("detrac", num_frames=60)
-        cloud = CloudServer(teacher, schedule=dataset.schedule)
+        cloud = CloudServer(teacher)
         with pytest.raises(ValueError):
-            cloud.process_upload([], alpha=0.5, lambda_usage=0.5)
+            cloud.process_upload(
+                [],
+                alpha=0.5,
+                lambda_usage=0.5,
+                schedule=dataset.schedule,
+                controller=SamplingRateController(cloud.config.sampling),
+            )
 
-    def test_cloud_training_requires_attachment(self, teacher, student):
-        dataset = build_dataset("detrac", num_frames=60)
-        cloud = CloudServer(teacher, schedule=dataset.schedule, config=small_config())
-        with pytest.raises(RuntimeError):
-            cloud.train_on_labels([])
-        cloud.attach_cloud_student(student.clone())
-        assert cloud.hosts_training
-        frames = dataset.build().collect(limit=4)
-        labeled = cloud.labeler.label_batch(frames, [dataset.schedule.domain_at(f.index) for f in frames])
-        result = cloud.train_on_labels(labeled)
-        assert result.gpu_seconds > 0
-        assert isinstance(result.model_state, dict)
 
-    def test_gpu_seconds_per_stream_second(self, teacher):
+class TestZeroTimeWorker:
+    def test_labels_leave_at_the_upload_instant(self, teacher):
+        """The single-camera session's worker: no overhead, infinite speed."""
         dataset = build_dataset("detrac", num_frames=60)
-        cloud = CloudServer(teacher, schedule=dataset.schedule)
-        cloud.total_gpu_seconds = 5.0
-        assert cloud.gpu_seconds_per_stream_second(10.0) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            cloud.gpu_seconds_per_stream_second(0.0)
+        config = small_config()
+        cloud = CloudServer(teacher, config=config)
+        worker = CloudActor(
+            cloud,
+            InstantTransport(NetworkLink()),
+            batch_overhead_seconds=0.0,
+            spec=WorkerSpec(speed=math.inf),
+        )
+        camera = SimpleNamespace(
+            camera_id=0, options=SessionOptions(adapt=False), upload_latencies=[]
+        )
+        worker.register_camera(
+            camera,
+            schedule=dataset.schedule,
+            controller=SamplingRateController(config.sampling),
+        )
+        frames = dataset.build().collect(limit=3)
+        scheduler = EventScheduler()
+        scheduler.schedule(
+            UploadComplete(
+                time=1.5, camera_id=0, batch=frames, alpha=0.3, lambda_usage=0.5,
+                sent_at=1.5,
+            )
+        )
+        delivered = []
+
+        def dispatch(event):
+            if isinstance(event, UploadComplete):
+                worker.on_upload(event, scheduler)
+            elif isinstance(event, LabelingDone):
+                worker.on_labeling_done(event, scheduler)
+            else:
+                assert isinstance(event, LabelsReady)
+                delivered.append(event)
+
+        scheduler.run(dispatch)
+        assert [event.time for event in delivered] == [1.5]
+        assert len(delivered[0].response.labeled_frames) == 3
+        assert worker.busy_seconds == 0.0
+        assert worker.busy_until == 1.5
+        assert [job.wait_seconds for job in worker.completed_jobs] == [0.0]
+        assert worker.gpu_seconds_by_camera[0] == delivered[0].response.gpu_seconds > 0
 
 
 class TestSessionOptions:

@@ -173,7 +173,7 @@ class TestSpeedAwareLoad:
         """A real CloudActor, unbound: enough for the load signal."""
         from repro.core.actors import CloudActor
 
-        worker = CloudActor(cloud=None, transport=None, queued=True, spec=spec)
+        worker = CloudActor(cloud=None, transport=None, spec=spec)
         return worker
 
     def test_pending_seconds_weigh_queued_service_by_speed(self):
