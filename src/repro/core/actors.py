@@ -88,6 +88,7 @@ from repro.runtime.events import (
     WorkerCrashEvent,
 )
 from repro.video.datasets import DatasetSpec
+from repro.video.drift import DriftSchedule
 from repro.video.encoding import H264Encoder
 from repro.video.scene import GroundTruthBox
 from repro.video.stream import Frame
@@ -350,8 +351,8 @@ class _Tenant:
     """Per-camera state the shared cloud keeps."""
 
     actor: "EdgeActor"
-    schedule: object | None = None
-    controller: SamplingRateController | None = None
+    schedule: DriftSchedule
+    controller: SamplingRateController
     #: typed pool of labeled frames awaiting cloud-side training (AMS)
     pool: list[LabeledFrame] = field(default_factory=list)
     #: cloud-resident student copy + trainer (AMS); None when the
@@ -460,8 +461,8 @@ class CloudActor:
     def register_camera(
         self,
         actor: "EdgeActor",
-        schedule: object | None = None,
-        controller: SamplingRateController | None = None,
+        schedule: DriftSchedule,
+        controller: SamplingRateController,
         seed: int = 0,
         replay_seed: tuple | None = None,
         weight: float = 1.0,

@@ -97,6 +97,7 @@ from repro.runtime.events import (
     UploadComplete,
     WorkerCrashEvent,
 )
+from repro.video.drift import DriftSchedule
 
 __all__ = [
     "CloudCluster",
@@ -528,8 +529,8 @@ class CloudCluster:
     def register_camera(
         self,
         actor,
-        schedule: object | None = None,
-        controller: SamplingRateController | None = None,
+        schedule: DriftSchedule,
+        controller: SamplingRateController,
         seed: int = 0,
         replay_seed: tuple | None = None,
         weight: float = 1.0,
