@@ -135,7 +135,7 @@ class InstantTransport:
         now: float,
     ) -> None:
         """Deliver an upload at the instant it was sent (bandwidth accounted)."""
-        actor.accountant.record_uplink(upload, now)
+        actor.accountant.record_uplink(upload)
         scheduler.schedule(
             UploadComplete(
                 time=now,
@@ -168,7 +168,7 @@ class InstantTransport:
         now: float,
     ) -> None:
         """Stream a model update over the closed-form point-to-point downlink."""
-        actor.accountant.record_downlink(update, now)
+        actor.accountant.record_downlink(update)
         arrival = now + self.link.downlink_seconds(update)
         previous = self._pending_model.get(actor.camera_id)
         if previous is not None and not previous.cancelled:
@@ -217,7 +217,7 @@ class SharedLinkTransport:
         now: float,
     ) -> None:
         """Start the upload on the shared uplink and re-project completions."""
-        actor.accountant.record_uplink(upload, now)
+        actor.accountant.record_uplink(upload)
         self.link.begin_uplink(
             upload,
             now,
@@ -251,7 +251,7 @@ class SharedLinkTransport:
         now: float,
     ) -> None:
         """Start a model-update download on the shared downlink."""
-        actor.accountant.record_downlink(update, now)
+        actor.accountant.record_downlink(update)
         self.link.begin_downlink(
             update, now, camera_id=actor.camera_id, payload=("model", actor, model_state)
         )
@@ -918,12 +918,9 @@ class EdgeActor:
                 fps, mean_motion=frame.motion
             ) / fps
             self.accountant.record_uplink(
-                FrameBatchUpload(num_frames=1, encoded_bytes=max(1, int(per_frame_bytes))),
-                now,
+                FrameBatchUpload(num_frames=1, encoded_bytes=max(1, int(per_frame_bytes)))
             )
-            self.accountant.record_downlink(
-                ResultDownload(num_boxes=len(frame.ground_truth)), now
-            )
+            self.accountant.record_downlink(ResultDownload(num_boxes=len(frame.ground_truth)))
             self.cloud_actor.note_gpu(self.camera_id, self.teacher.inference_seconds)
 
         # -- adaptive online learning path -------------------------------------
@@ -950,8 +947,7 @@ class EdgeActor:
         self.accountant.record_downlink(
             LabelDownload(
                 num_frames=len(response.labeled_frames), num_boxes=response.num_boxes
-            ),
-            now,
+            )
         )
         if options.adaptive_sampling:
             self.edge.set_sampling_rate(response.new_sampling_rate)

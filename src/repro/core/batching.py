@@ -370,11 +370,6 @@ class FleetBatcher:
         return self.policy.describe()
 
     @property
-    def mean_batch_jobs(self) -> float:
-        """Mean jobs per dispatched merged batch (0.0 before any flush)."""
-        return self.num_batched_jobs / self.num_batches if self.num_batches else 0.0
-
-    @property
     def cluster(self):
         """The bound cluster (None before :meth:`bind`)."""
         return None if self._cluster is None else self._cluster()

@@ -294,11 +294,6 @@ class FaultPlan:
         return outages
 
     @property
-    def injects_message_faults(self) -> bool:
-        """Whether any per-message fault has non-zero probability."""
-        return (self.loss_rate + self.duplicate_rate + self.delay_rate) > 0.0
-
-    @property
     def injects_partitions(self) -> bool:
         """Whether the plan schedules link partitions at all."""
         return self.mean_time_between_partitions is not None
@@ -667,7 +662,7 @@ class ReliableTransport(SharedLinkTransport):
         first_sent = now
 
         def _attempt(at: float, message_id: int) -> None:
-            actor.accountant.record_uplink(upload, at)
+            actor.accountant.record_uplink(upload)
             self.link.begin_uplink(
                 upload,
                 at,
@@ -716,7 +711,7 @@ class ReliableTransport(SharedLinkTransport):
         """Issue a tracked model-update download (AMS weights stream)."""
 
         def _attempt(at: float, message_id: int) -> None:
-            actor.accountant.record_downlink(update, at)
+            actor.accountant.record_downlink(update)
             self.link.begin_downlink(
                 update,
                 at,

@@ -22,7 +22,6 @@ from repro.detection.grid import CELL_CHANNELS, GridCodec, GridTargets
 from repro.nn.functional import sigmoid, softmax
 from repro.nn.plan import EvalPlan
 from repro.video.domains import NUM_CLASSES
-from repro.video.scene import GroundTruthBox
 
 __all__ = ["StudentConfig", "StudentDetector"]
 
@@ -131,7 +130,7 @@ class StudentDetector:
                     out_h * out_w * layer.kernel_size**2 * layer.in_channels * layer.out_channels
                 )
                 size = out_h  # square feature maps throughout
-            elif isinstance(layer, (nn.MaxPool2d, nn.AvgPool2d)):
+            elif isinstance(layer, nn.MaxPool2d):
                 size = size // layer.kernel_size
                 macs[name] = 0
             else:
@@ -157,10 +156,6 @@ class StudentDetector:
                 break
             before += macs[name]
         return before / total
-
-    def model_bytes(self, bytes_per_weight: float = 4.0) -> int:
-        """Serialized model size; used for AMS model-streaming bandwidth."""
-        return int(self.num_parameters() * bytes_per_weight)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return self.model.state_dict()
@@ -261,11 +256,6 @@ class StudentDetector:
             for out in outputs
         ]
 
-    def confidence_scores(self, image: np.ndarray) -> np.ndarray:
-        """Per-cell objectness confidence (used for the α accuracy estimate)."""
-        output = self.infer(image[None])[0]
-        return sigmoid(output[0])
-
     # -- training loss --------------------------------------------------------
     def detection_loss(
         self, outputs: np.ndarray, targets: list[GridTargets]
@@ -348,17 +338,3 @@ class StudentDetector:
             + cfg.box_loss_weight * box_loss
         )
         return float(total), grad
-
-    def loss_on_labels(
-        self, images: np.ndarray, labels_per_image: list[list[GroundTruthBox]]
-    ) -> float:
-        """Loss of the current model on labelled images (no gradient applied).
-
-        Used by the cloud's φ computation, which reuses "the same loss
-        function that is used to define the task" (Sec. III-C).
-        """
-        self.model.eval()
-        outputs = self.forward(images)
-        targets = self.codec.encode_batch(labels_per_image)
-        loss, _ = self.detection_loss(outputs, targets)
-        return loss

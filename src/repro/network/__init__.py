@@ -14,7 +14,6 @@ from repro.network.messages import (
     LabelDownload,
     ModelDownload,
     ResultDownload,
-    MetricsReport,
     LABEL_BYTES_PER_BOX,
     MESSAGE_OVERHEAD_BYTES,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "LabelDownload",
     "ModelDownload",
     "ResultDownload",
-    "MetricsReport",
     "LABEL_BYTES_PER_BOX",
     "MESSAGE_OVERHEAD_BYTES",
     "NetworkLink",

@@ -2,15 +2,12 @@
 
 Table I reports "Up/Down Bandwidth (Kbps)" per strategy: total transferred
 bits divided by the playback duration of the evaluated stream.  The
-accountant records every message with its direction and timestamp so both the
-averages and a time-resolved view are available.
+accountant keeps the total bytes sent in each direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.network.messages import Message
 
@@ -42,30 +39,20 @@ class BandwidthAccountant:
     """Records message transfers and summarises them."""
 
     def __init__(self) -> None:
-        self._uplink: list[tuple[float, int]] = []
-        self._downlink: list[tuple[float, int]] = []
+        self.uplink_bytes = 0
+        self.downlink_bytes = 0
 
-    # -- recording ----------------------------------------------------------
-    def record_uplink(self, message: Message, timestamp: float) -> int:
+    def record_uplink(self, message: Message) -> int:
         """Record an edge -> cloud transfer; returns its size in bytes."""
         size = message.size_bytes()
-        self._uplink.append((float(timestamp), size))
+        self.uplink_bytes += size
         return size
 
-    def record_downlink(self, message: Message, timestamp: float) -> int:
+    def record_downlink(self, message: Message) -> int:
         """Record a cloud -> edge transfer; returns its size in bytes."""
         size = message.size_bytes()
-        self._downlink.append((float(timestamp), size))
+        self.downlink_bytes += size
         return size
-
-    # -- summaries ------------------------------------------------------------
-    @property
-    def uplink_bytes(self) -> int:
-        return sum(size for _, size in self._uplink)
-
-    @property
-    def downlink_bytes(self) -> int:
-        return sum(size for _, size in self._downlink)
 
     def summary(self, duration_seconds: float) -> BandwidthSummary:
         """Average bandwidth over a stream of the given playback duration."""
@@ -76,24 +63,3 @@ class BandwidthAccountant:
             downlink_bytes=self.downlink_bytes,
             duration_seconds=duration_seconds,
         )
-
-    def uplink_kbps_trace(self, duration_seconds: float, bin_seconds: float = 1.0) -> np.ndarray:
-        """Per-bin uplink Kbps over time (useful for plots/inspection)."""
-        return self._trace(self._uplink, duration_seconds, bin_seconds)
-
-    def downlink_kbps_trace(self, duration_seconds: float, bin_seconds: float = 1.0) -> np.ndarray:
-        """Per-bin downlink Kbps over time."""
-        return self._trace(self._downlink, duration_seconds, bin_seconds)
-
-    @staticmethod
-    def _trace(
-        records: list[tuple[float, int]], duration_seconds: float, bin_seconds: float
-    ) -> np.ndarray:
-        if duration_seconds <= 0 or bin_seconds <= 0:
-            raise ValueError("durations must be positive")
-        n_bins = int(np.ceil(duration_seconds / bin_seconds))
-        out = np.zeros(max(1, n_bins))
-        for timestamp, size in records:
-            index = min(len(out) - 1, int(timestamp / bin_seconds))
-            out[index] += size * 8 / 1000.0 / bin_seconds
-        return out

@@ -97,10 +97,6 @@ class NetworkLink:
         bits = message.size_bytes() * 8
         return self.config.rtt_seconds / 2 + bits / (self.config.downlink_kbps * 1000.0)
 
-    def round_trip_seconds(self, request: Message, response: Message) -> float:
-        """Request up, response down."""
-        return self.uplink_seconds(request) + self.downlink_seconds(response)
-
 
 @dataclass
 class LinkTransfer:
@@ -161,10 +157,6 @@ class _SharedPipe:
     def active_count(self) -> int:
         """Transfers still consuming capacity (drained ones are excluded)."""
         return sum(1 for t in self._transfers if not t.drained)
-
-    @property
-    def in_flight(self) -> list[LinkTransfer]:
-        return list(self._transfers)
 
     def add(self, transfer: LinkTransfer, now: float) -> None:
         self._advance(now)
@@ -381,7 +373,3 @@ class SharedLink:
     @property
     def active_uplinks(self) -> int:
         return self._up.active_count
-
-    @property
-    def active_downlinks(self) -> int:
-        return self._down.active_count

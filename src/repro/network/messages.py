@@ -17,7 +17,6 @@ __all__ = [
     "LabelDownload",
     "ModelDownload",
     "ResultDownload",
-    "MetricsReport",
     "LABEL_BYTES_PER_BOX",
     "MESSAGE_OVERHEAD_BYTES",
 ]
@@ -108,11 +107,3 @@ class ResultDownload(Message):
         if self.annotated:
             payload += 12_000
         return payload + MESSAGE_OVERHEAD_BYTES
-
-
-@dataclass(frozen=True)
-class MetricsReport(Message):
-    """Periodic edge -> cloud report of α (estimated accuracy) and λ (usage)."""
-
-    def size_bytes(self) -> int:
-        return MESSAGE_OVERHEAD_BYTES

@@ -15,9 +15,6 @@ __all__ = [
     "conv_output_size",
     "sigmoid",
     "softmax",
-    "log_softmax",
-    "relu",
-    "one_hot",
 ]
 
 
@@ -122,24 +119,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / np.sum(exp, axis=axis, keepdims=True)
 
 
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Log-softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise rectifier."""
-    return np.maximum(x, 0.0)
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode an integer label vector into shape ``(N, num_classes)``."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("label value out of range for one_hot")
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out

@@ -4,25 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "xavier_uniform", "zeros", "constant"]
+__all__ = ["he_normal", "zeros", "constant"]
 
 
 def he_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
-    """Kaiming/He normal initialisation suited to ReLU networks."""
+    """Kaiming/He normal initialisation suited to rectifier (LeakyReLU) networks."""
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for sigmoid/tanh style layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

@@ -25,17 +25,9 @@ from repro.nn import initializers as init
 __all__ = [
     "Parameter",
     "Module",
-    "Linear",
     "Conv2d",
-    "ReLU",
     "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "MaxPool2d",
-    "AvgPool2d",
-    "GlobalAvgPool2d",
-    "Flatten",
-    "Dropout",
     "Identity",
 ]
 
@@ -178,12 +170,6 @@ class Module:
             param.trainable = False
         return self
 
-    def unfreeze(self) -> "Module":
-        """Mark every parameter as trainable again."""
-        for param in self.parameters():
-            param.trainable = True
-        return self
-
     def set_lr_scale(self, scale: float) -> "Module":
         """Scale the learning rate of every parameter in this module."""
         if scale < 0:
@@ -221,59 +207,6 @@ class Module:
                     f"shape mismatch for {name}: {param.data.shape} vs {state[name].shape}"
                 )
             param.data = np.asarray(state[name], dtype=np.float64).copy()
-
-
-class Linear(Module):
-    """Fully connected layer ``y = x W^T + b``."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        bias: bool = True,
-        name: str = "linear",
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("feature dimensions must be positive")
-        rng = rng or np.random.default_rng(0)
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(
-            init.he_normal((out_features, in_features), in_features, rng),
-            name=f"{name}.weight",
-        )
-        self.bias = (
-            Parameter(init.zeros((out_features,)), name=f"{name}.bias") if bias else None
-        )
-        self._cache_x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"expected input of shape (N, {self.in_features}), got {x.shape}"
-            )
-        self._cache_x = x
-        out = x @ self.weight.data.T
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache_x is None:
-            raise RuntimeError("backward called before forward")
-        x = self._cache_x
-        self.weight.grad += grad.T @ x
-        if self.bias is not None:
-            self.bias.grad += grad.sum(axis=0)
-        return grad @ self.weight.data
-
-    def parameters(self) -> list[Parameter]:
-        params = [self.weight]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
 
 
 class Conv2d(Module):
@@ -373,25 +306,6 @@ class Conv2d(Module):
         return params
 
 
-class ReLU(Module):
-    """Elementwise rectified linear unit."""
-
-    _training_state = ("_mask",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad, 0.0)
-
-
 class LeakyReLU(Module):
     """Leaky rectifier with a negative slope in [0, 1]."""
 
@@ -421,40 +335,6 @@ class LeakyReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward called before a training-mode forward")
         return np.where(self._mask, grad, self.negative_slope * grad)
-
-
-class Sigmoid(Module):
-    """Elementwise logistic sigmoid."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = F.sigmoid(x)
-        return self._out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad * self._out * (1.0 - self._out)
-
-
-class Tanh(Module):
-    """Elementwise hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad * (1.0 - self._out**2)
 
 
 class MaxPool2d(Module):
@@ -522,97 +402,6 @@ class MaxPool2d(Module):
         grad_cols[np.arange(grad_cols.shape[0]), argmax] = grad.reshape(-1)
         dx = F.col2im(grad_cols, (n * c, 1, h, w), k, k, s, 0)
         return dx.reshape(n, c, h, w)
-
-
-class AvgPool2d(Module):
-    """Average pooling over NCHW inputs."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        out_h = F.conv_output_size(h, k, s, 0)
-        out_w = F.conv_output_size(w, k, s, 0)
-        cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
-        self._x_shape = x.shape
-        return cols.mean(axis=1).reshape(n, c, out_h, out_w)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        k, s = self.kernel_size, self.stride
-        grad_flat = grad.reshape(-1, 1)
-        grad_cols = np.repeat(grad_flat / (k * k), k * k, axis=1)
-        dx = F.col2im(grad_cols, (n * c, 1, h, w), k, k, s, 0)
-        return dx.reshape(n, c, h, w)
-
-
-class GlobalAvgPool2d(Module):
-    """Average over the full spatial extent, producing ``(N, C)`` features."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        return np.broadcast_to(grad[:, :, None, None], (n, c, h, w)) / (h * w)
-
-
-class Flatten(Module):
-    """Flatten all dimensions after the batch dimension."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        return grad.reshape(self._x_shape)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = rng or np.random.default_rng(0)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
 
 
 class Identity(Module):

@@ -20,11 +20,11 @@ import numpy as np
 from repro.nn.layers import Module, Parameter, ReadOnlyArray
 from repro.nn import initializers as init
 
-__all__ = ["BatchNorm1d", "BatchNorm2d", "BatchRenorm1d", "BatchRenorm2d"]
+__all__ = ["BatchNorm2d", "BatchRenorm2d"]
 
 
 class _BatchNormBase(Module):
-    """Shared machinery for BN/BRN over flat (N, C) or NCHW inputs.
+    """Shared machinery for BN/BRN over NCHW inputs.
 
     The running statistics are stored read-only, like parameter values:
     an update assigns new arrays.
@@ -40,7 +40,6 @@ class _BatchNormBase(Module):
         momentum: float = 0.1,
         eps: float = 1e-5,
         name: str = "bn",
-        spatial: bool = False,
     ) -> None:
         super().__init__()
         if num_features <= 0:
@@ -50,7 +49,6 @@ class _BatchNormBase(Module):
         self.num_features = num_features
         self.momentum = momentum
         self.eps = eps
-        self.spatial = spatial
         self.gamma = Parameter(init.constant((num_features,), 1.0), name=f"{name}.gamma")
         self.beta = Parameter(init.zeros((num_features,)), name=f"{name}.beta")
         self.running_mean = np.zeros(num_features, dtype=np.float64)
@@ -61,24 +59,15 @@ class _BatchNormBase(Module):
     # -- shape helpers ---------------------------------------------------
     def _flatten(self, x: np.ndarray) -> np.ndarray:
         """Reshape input so that features sit on axis 1 and samples on axis 0."""
-        if self.spatial:
-            if x.ndim != 4 or x.shape[1] != self.num_features:
-                raise ValueError(
-                    f"expected NCHW input with {self.num_features} channels, got {x.shape}"
-                )
-            n, c, h, w = x.shape
-            return x.transpose(0, 2, 3, 1).reshape(-1, c)
-        if x.ndim != 2 or x.shape[1] != self.num_features:
+        if x.ndim != 4 or x.shape[1] != self.num_features:
             raise ValueError(
-                f"expected (N, {self.num_features}) input, got {x.shape}"
+                f"expected NCHW input with {self.num_features} channels, got {x.shape}"
             )
-        return x
+        return x.transpose(0, 2, 3, 1).reshape(-1, self.num_features)
 
     def _unflatten(self, flat: np.ndarray, original_shape: tuple[int, ...]) -> np.ndarray:
-        if self.spatial:
-            n, c, h, w = original_shape
-            return flat.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-        return flat
+        n, c, h, w = original_shape
+        return flat.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         m = self.momentum
@@ -195,28 +184,12 @@ class _BatchRenormMixin:
         return dx_hat / std
 
 
-class BatchNorm1d(_BatchNormMixin, _BatchNormBase):
-    """BatchNorm over (N, C) feature matrices."""
-
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5,
-                 name: str = "bn1d") -> None:
-        super().__init__(num_features, momentum, eps, name=name, spatial=False)
-
-
 class BatchNorm2d(_BatchNormMixin, _BatchNormBase):
     """BatchNorm over NCHW activation volumes."""
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5,
                  name: str = "bn2d") -> None:
-        super().__init__(num_features, momentum, eps, name=name, spatial=True)
-
-
-class BatchRenorm1d(_BatchRenormMixin, _BatchNormBase):
-    """Batch Renormalization over (N, C) feature matrices."""
-
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5,
-                 name: str = "brn1d") -> None:
-        super().__init__(num_features, momentum, eps, name=name, spatial=False)
+        super().__init__(num_features, momentum, eps, name=name)
 
 
 class BatchRenorm2d(_BatchRenormMixin, _BatchNormBase):
@@ -224,4 +197,4 @@ class BatchRenorm2d(_BatchRenormMixin, _BatchNormBase):
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5,
                  name: str = "brn2d") -> None:
-        super().__init__(num_features, momentum, eps, name=name, spatial=True)
+        super().__init__(num_features, momentum, eps, name=name)

@@ -54,29 +54,6 @@ class SGD:
         ]
         self.max_grad_norm = max_grad_norm
 
-    # -- group management ------------------------------------------------
-    def add_group(
-        self,
-        params: list[Parameter],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        """Add a parameter group with its own hyper-parameters."""
-        self.groups.append(
-            ParamGroup(list(params), lr=lr, momentum=momentum, weight_decay=weight_decay)
-        )
-
-    def set_lr(self, lr: float, group_index: int | None = None) -> None:
-        """Update the learning rate of one group or of all groups."""
-        if lr < 0:
-            raise ValueError("learning rate must be non-negative")
-        if group_index is None:
-            for group in self.groups:
-                group.lr = lr
-        else:
-            self.groups[group_index].lr = lr
-
     @property
     def parameters(self) -> list[Parameter]:
         out: list[Parameter] = []

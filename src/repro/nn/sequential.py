@@ -84,10 +84,6 @@ class Sequential(Module):
         """Names of layers strictly before ``cut`` (the "front" layers)."""
         return self._names[: self.index_of(cut)]
 
-    def layers_from(self, cut: str) -> list[str]:
-        """Names of layers from ``cut`` onwards (the layers that keep learning)."""
-        return self._names[self.index_of(cut) :]
-
     # -- execution ----------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         for name in self._names:

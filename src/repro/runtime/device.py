@@ -161,22 +161,8 @@ class CloudComputeModel:
         if self.teacher_inference_seconds <= 0 or self.training_seconds_per_step <= 0:
             raise ValueError("cloud compute times must be positive")
 
-    def labeling_seconds(self, num_frames: int) -> float:
-        """GPU time to label a batch of frames."""
-        if num_frames < 0:
-            raise ValueError("num_frames must be non-negative")
-        return num_frames * self.teacher_inference_seconds
-
     def training_seconds(self, num_steps: int) -> float:
         """GPU time for a cloud-side fine-tuning session of ``num_steps``."""
         if num_steps < 0:
             raise ValueError("num_steps must be non-negative")
         return num_steps * self.training_seconds_per_step
-
-    def supported_edge_devices(
-        self, gpu_seconds_per_device_per_second: float
-    ) -> float:
-        """How many edge devices one GPU can serve at a given per-device load."""
-        if gpu_seconds_per_device_per_second <= 0:
-            return float("inf")
-        return 1.0 / gpu_seconds_per_device_per_second

@@ -24,7 +24,6 @@ from repro.video.domains import (
     DUSK,
     NIGHT,
     DOMAINS,
-    get_domain,
 )
 from repro.video.scene import GroundTruthBox, SceneObject, Scene, SceneConfig
 from repro.video.drift import DriftSchedule, DriftSegment, blend_domains
@@ -51,7 +50,6 @@ __all__ = [
     "DUSK",
     "NIGHT",
     "DOMAINS",
-    "get_domain",
     "GroundTruthBox",
     "SceneObject",
     "Scene",

@@ -24,7 +24,6 @@ __all__ = [
     "DUSK",
     "NIGHT",
     "DOMAINS",
-    "get_domain",
 ]
 
 #: Object classes used throughout the reproduction (paper Fig. 1 uses the same
@@ -202,13 +201,3 @@ NIGHT = Domain(
 DOMAINS: dict[str, Domain] = {
     d.name: d for d in (DAY_SUNNY, DAY_CLOUDY, RAINY, DUSK, NIGHT)
 }
-
-
-def get_domain(name: str) -> Domain:
-    """Look up a canonical domain by name."""
-    try:
-        return DOMAINS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown domain {name!r}; available: {sorted(DOMAINS)}"
-        ) from None

@@ -18,7 +18,7 @@ __all__ = ["DriftSegment", "DriftSchedule", "blend_domains"]
 
 
 def blend_domains(a: Domain, b: Domain, t: float) -> Domain:
-    """Linear interpolation between two domains (``t=0`` → ``a``, ``t=1`` → ``b``)."""
+    """Linearly interpolate between two domains (``t=0`` → ``a``, ``t=1`` → ``b``)."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("blend factor must be in [0, 1]")
 

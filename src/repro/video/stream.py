@@ -31,10 +31,6 @@ class Frame:
     domain_name: str
     motion: float  # mean per-object displacement since the previous frame
 
-    @property
-    def num_objects(self) -> int:
-        return len(self.ground_truth)
-
 
 @dataclass(frozen=True)
 class StreamConfig:

@@ -260,7 +260,7 @@ class TestFleetBatcher:
         worker.busy_until = 0.0
         batcher.on_worker_idle(5.0, sched)
         assert [len(batch) for batch in worker.batches] == [3]
-        assert batcher.mean_batch_jobs == pytest.approx(3.0)
+        assert batcher.num_batches == 1 and batcher.num_batched_jobs == 3
 
     def test_size_cap_splits_the_flush(self):
         worker = StubWorker(busy_until=1.0)

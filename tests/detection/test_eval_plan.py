@@ -1,7 +1,6 @@
 """The student's compiled eval plan: staleness, reference bound, batches, memory.
 
-:meth:`StudentDetector.infer` (behind ``detect``, ``detect_batch`` and
-``confidence_scores``) runs an :class:`~repro.nn.plan.EvalPlan` with
+:meth:`StudentDetector.infer` (behind ``detect`` and ``detect_batch``) runs an :class:`~repro.nn.plan.EvalPlan` with
 the norms folded into the convs. It is the one inference path that
 does not reproduce the layer-by-layer bits, so this module holds its
 reference bound against :meth:`StudentDetector.forward`, checks that
@@ -87,11 +86,6 @@ def test_detect_batch_equals_detect_byte_for_byte(student, frames):
     assert_bitwise(student.infer(frames[:12])[5], student.infer(frames[5:6])[0])
 
 
-def test_confidence_scores_come_from_the_plan(student, frames):
-    scores = student.confidence_scores(frames[0])
-    assert_bitwise(scores, nn.sigmoid(student.infer(frames[:1])[0, 0]))
-
-
 # -- staleness ------------------------------------------------------------------
 def assert_rebuilt(student: StudentDetector, old: EvalPlan, images: np.ndarray) -> None:
     """``old`` is stale, and inference runs a plan of the current weights."""
@@ -111,7 +105,6 @@ def test_an_unchanged_model_reuses_its_plan(student, frames):
     plan = compiled(copy, frames[:2])
     copy.detect(frames[3])
     copy.detect_batch(frames[:4])
-    copy.confidence_scores(frames[0])
     assert plan.is_current()
     assert copy._plan is plan
 
@@ -168,16 +161,23 @@ def test_loading_saved_weights_makes_the_plan_stale(student, frames, tmp_path):
     assert_bitwise(copy.infer(frames[:4]), other.infer(frames[:4]))
 
 
+class Square(nn.Module):
+    """A layer outside the stage pattern."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x * x
+
+
 @pytest.mark.parametrize(
     "layers",
     [
-        [("fc", nn.Linear(4, 2))],
+        [("pool", nn.MaxPool2d(2)), ("conv", nn.Conv2d(3, 4, 3, padding=1))],
         [("conv", nn.Conv2d(3, 4, 3, padding=1)), ("pool", nn.MaxPool2d(3, stride=2))],
-        [("conv", nn.Conv2d(3, 4, 3, padding=1)), ("act", nn.ReLU())],
+        [("conv", nn.Conv2d(3, 4, 3, padding=1)), ("act", Square())],
         [("conv", nn.Conv2d(3, 4, 3, padding=1)), ("pool", nn.MaxPool2d(2)),
          ("norm", nn.BatchNorm2d(4))],
     ],
-    ids=["linear", "overlapping-pool", "relu", "norm-after-pool"],
+    ids=["no-leading-conv", "overlapping-pool", "foreign-layer", "norm-after-pool"],
 )
 def test_a_model_outside_the_stage_pattern_is_refused(layers):
     with pytest.raises(ValueError):

@@ -169,10 +169,6 @@ class TestStudentDetector:
         with pytest.raises(KeyError):
             student.compute_fraction_before("bogus")
 
-    def test_model_bytes(self):
-        student = StudentDetector()
-        assert student.model_bytes() == student.num_parameters() * 4
-
     def test_norm_choice(self):
         brn = StudentDetector(StudentConfig(norm="brn"))
         bn = StudentDetector(StudentConfig(norm="bn"))

@@ -10,7 +10,6 @@ from repro.network import (
     LabelDownload,
     LinkConfig,
     MESSAGE_OVERHEAD_BYTES,
-    MetricsReport,
     ModelDownload,
     NetworkLink,
     ResultDownload,
@@ -37,9 +36,6 @@ class TestMessages:
             > ResultDownload(num_boxes=3, annotated=False).size_bytes()
         )
 
-    def test_metrics_report_small(self):
-        assert MetricsReport().size_bytes() == MESSAGE_OVERHEAD_BYTES
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FrameBatchUpload(num_frames=0, encoded_bytes=100)
@@ -61,14 +57,6 @@ class TestNetworkLink:
         msg = FrameBatchUpload(1, 1_000_000 - MESSAGE_OVERHEAD_BYTES)
         assert link.uplink_seconds(msg) == pytest.approx(1.0)
 
-    def test_round_trip(self):
-        link = NetworkLink()
-        up = FrameBatchUpload(1, 1000)
-        down = LabelDownload(1, 4)
-        assert link.round_trip_seconds(up, down) == pytest.approx(
-            link.uplink_seconds(up) + link.downlink_seconds(down)
-        )
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             LinkConfig(uplink_kbps=0)
@@ -77,8 +65,8 @@ class TestNetworkLink:
 class TestBandwidthAccounting:
     def test_totals_and_kbps(self):
         acc = BandwidthAccountant()
-        acc.record_uplink(FrameBatchUpload(1, 10_000 - MESSAGE_OVERHEAD_BYTES), 0.0)
-        acc.record_downlink(LabelDownload(1, 10), 1.0)
+        acc.record_uplink(FrameBatchUpload(1, 10_000 - MESSAGE_OVERHEAD_BYTES))
+        acc.record_downlink(LabelDownload(1, 10))
         summary = acc.summary(10.0)
         assert summary.uplink_bytes == 10_000
         assert summary.uplink_kbps == pytest.approx(10_000 * 8 / 1000 / 10)
@@ -87,14 +75,6 @@ class TestBandwidthAccounting:
     def test_zero_duration_raises(self):
         with pytest.raises(ValueError):
             BandwidthAccountant().summary(0.0)
-
-    def test_traces_bucket_by_time(self):
-        acc = BandwidthAccountant()
-        acc.record_uplink(FrameBatchUpload(1, 1000), 0.5)
-        acc.record_uplink(FrameBatchUpload(1, 1000), 5.5)
-        trace = acc.uplink_kbps_trace(10.0, bin_seconds=1.0)
-        assert trace.shape == (10,)
-        assert trace[0] > 0 and trace[5] > 0 and trace[3] == 0
 
     def test_empty_summary(self):
         summary = BandwidthAccountant().summary(5.0)

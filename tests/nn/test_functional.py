@@ -68,30 +68,6 @@ class TestActivations:
         assert np.allclose(p.sum(axis=1), 1.0)
         assert np.all(p >= 0)
 
-    def test_log_softmax_consistent_with_softmax(self):
-        x = np.random.default_rng(3).normal(size=(4, 6))
-        assert np.allclose(np.exp(F.log_softmax(x, axis=1)), F.softmax(x, axis=1))
-
-    def test_relu(self):
-        x = np.array([-1.0, 0.0, 2.0])
-        assert np.allclose(F.relu(x), [0.0, 0.0, 2.0])
-
-
-class TestOneHot:
-    def test_basic(self):
-        out = F.one_hot(np.array([0, 2, 1]), 3)
-        assert out.shape == (3, 3)
-        assert np.allclose(out.sum(axis=1), 1.0)
-        assert out[1, 2] == 1.0
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([3]), 3)
-
-    def test_wrong_ndim_raises(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.zeros((2, 2), dtype=int), 3)
-
 
 @settings(deadline=None, max_examples=25)
 @given(

@@ -75,7 +75,7 @@ class TestParameter:
     def test_zero_grad_on_an_untouched_model_allocates_nothing(self, rng):
         model = nn.Sequential([
             ("conv", nn.Conv2d(2, 3, 3, padding=1, rng=rng)),
-            ("fc", nn.Linear(4, 2, rng=rng)),
+            ("head", nn.Conv2d(3, 2, 1, rng=rng)),
         ])
         model.zero_grad()
         assert all(param._grad is None for param in model.parameters())
@@ -86,43 +86,6 @@ class TestParameter:
         grad = p.grad
         p.zero_grad()
         assert p.grad is grad and not grad.any()
-
-
-class TestLinear:
-    def test_forward_shape(self, rng):
-        layer = nn.Linear(5, 3, rng=rng)
-        out = layer.forward(rng.normal(size=(4, 5)))
-        assert out.shape == (4, 3)
-
-    def test_rejects_bad_input(self, rng):
-        layer = nn.Linear(5, 3, rng=rng)
-        with pytest.raises(ValueError):
-            layer.forward(rng.normal(size=(4, 6)))
-
-    def test_input_gradient_matches_numeric(self, rng):
-        layer = nn.Linear(4, 3, rng=rng)
-        x = rng.normal(size=(2, 4))
-        assert np.allclose(analytic_grad_input(layer, x), numeric_grad_input(layer, x), atol=1e-6)
-
-    def test_param_gradients_match_numeric(self, rng):
-        layer = nn.Linear(4, 3, rng=rng)
-        x = rng.normal(size=(2, 4))
-        out = layer.forward(x)
-        layer.backward(np.ones_like(out))
-        numeric = numeric_grad_params(layer, x)
-        for param in layer.parameters():
-            assert np.allclose(param.grad, numeric[param.name], atol=1e-6)
-
-    def test_no_bias(self, rng):
-        layer = nn.Linear(4, 3, bias=False, rng=rng)
-        assert len(layer.parameters()) == 1
-
-    def test_state_dict_roundtrip(self, rng):
-        a = nn.Linear(4, 3, rng=rng)
-        b = nn.Linear(4, 3, rng=np.random.default_rng(99))
-        b.load_state_dict(a.state_dict())
-        x = rng.normal(size=(2, 4))
-        assert np.allclose(a.forward(x), b.forward(x))
 
 
 class TestConv2d:
@@ -155,6 +118,13 @@ class TestConv2d:
         for param in layer.parameters():
             assert np.allclose(param.grad, numeric[param.name], atol=1e-5)
 
+    def test_state_dict_roundtrip(self, rng):
+        a = nn.Conv2d(2, 3, kernel_size=3, padding=1, rng=rng)
+        b = nn.Conv2d(2, 3, kernel_size=3, padding=1, rng=np.random.default_rng(99))
+        b.load_state_dict(a.state_dict())
+        x = rng.normal(size=(2, 2, 4, 4))
+        assert np.allclose(a.forward(x), b.forward(x))
+
     def test_matches_manual_convolution(self):
         # 1x1 input channel, known kernel -> verify against a hand computation
         layer = nn.Conv2d(1, 1, kernel_size=2, stride=1, padding=0, bias=False)
@@ -167,15 +137,13 @@ class TestConv2d:
 
 class TestActivationLayers:
     @pytest.mark.parametrize(
-        "layer", [nn.ReLU(), nn.LeakyReLU(0.1), nn.Sigmoid(), nn.Tanh(), nn.Identity()]
+        "layer",
+        [nn.LeakyReLU(0.1), nn.Identity()],
+        ids=["leaky_relu", "identity"],
     )
     def test_gradient_matches_numeric(self, layer, rng):
-        x = rng.normal(size=(3, 5)) + 0.05  # avoid the ReLU kink at exactly 0
+        x = rng.normal(size=(3, 5)) + 0.05  # avoid the kink at exactly 0
         assert np.allclose(analytic_grad_input(layer, x), numeric_grad_input(layer, x), atol=1e-5)
-
-    def test_relu_zeroes_negatives(self):
-        out = nn.ReLU().forward(np.array([[-1.0, 2.0]]))
-        assert np.allclose(out, [[0.0, 2.0]])
 
     def test_leaky_relu_negative_slope(self):
         out = nn.LeakyReLU(0.2).forward(np.array([[-10.0]]))
@@ -198,64 +166,19 @@ class TestPooling:
         assert dx[0, 0, 1, 1] == pytest.approx(1.0)
         assert dx[0, 0, 0, 0] == pytest.approx(0.0)
 
-    def test_avgpool_forward_backward(self, rng):
-        layer = nn.AvgPool2d(2)
-        x = rng.normal(size=(2, 3, 4, 4))
-        assert np.allclose(analytic_grad_input(layer, x), numeric_grad_input(layer, x), atol=1e-6)
-
-    def test_global_avgpool(self, rng):
-        layer = nn.GlobalAvgPool2d()
-        x = rng.normal(size=(2, 3, 4, 4))
-        out = layer.forward(x)
-        assert out.shape == (2, 3)
-        assert np.allclose(out, x.mean(axis=(2, 3)))
-        assert np.allclose(analytic_grad_input(layer, x), numeric_grad_input(layer, x), atol=1e-6)
-
-
-class TestFlattenDropout:
-    def test_flatten_roundtrip(self, rng):
-        layer = nn.Flatten()
-        x = rng.normal(size=(2, 3, 4, 4))
-        out = layer.forward(x)
-        assert out.shape == (2, 48)
-        assert layer.backward(out).shape == x.shape
-
-    def test_dropout_eval_is_identity(self, rng):
-        layer = nn.Dropout(0.5, rng=rng)
-        layer.eval()
-        x = rng.normal(size=(10, 10))
-        assert np.allclose(layer.forward(x), x)
-
-    def test_dropout_train_preserves_expectation(self, rng):
-        layer = nn.Dropout(0.5, rng=rng)
-        x = np.ones((200, 200))
-        out = layer.forward(x)
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
-
 
 class TestModuleUtilities:
-    def test_freeze_unfreeze(self, rng):
-        layer = nn.Linear(3, 2, rng=rng)
-        layer.freeze()
-        assert all(not p.trainable for p in layer.parameters())
-        layer.unfreeze()
-        assert all(p.trainable for p in layer.parameters())
-
     def test_set_lr_scale(self, rng):
-        layer = nn.Linear(3, 2, rng=rng)
+        layer = nn.Conv2d(3, 2, 1, rng=rng)
         layer.set_lr_scale(0.25)
         assert all(p.lr_scale == 0.25 for p in layer.parameters())
 
     def test_num_parameters(self, rng):
-        layer = nn.Linear(3, 2, rng=rng)
+        layer = nn.Conv2d(3, 2, 1, rng=rng)
         assert layer.num_parameters() == 3 * 2 + 2
 
     def test_load_state_dict_mismatch_raises(self, rng):
-        a = nn.Linear(3, 2, rng=rng)
+        a = nn.Conv2d(3, 2, 1, rng=rng)
         with pytest.raises(KeyError):
             a.load_state_dict({"bogus": np.zeros(1)})
 
@@ -265,9 +188,9 @@ class TestModuleUtilities:
         class Branchy(nn.Module):
             def __init__(self):
                 super().__init__()
-                self.direct = nn.Dropout(0.5)
-                self.blocks = [nn.Dropout(0.5), nn.ReLU()]
-                self.pair = (nn.Dropout(0.5),)
+                self.direct = nn.LeakyReLU()
+                self.blocks = [nn.LeakyReLU(), nn.Identity()]
+                self.pair = (nn.MaxPool2d(2),)
 
         model = Branchy()
         kids = list(model.children())

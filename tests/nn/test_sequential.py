@@ -11,19 +11,24 @@ from repro.detection.student import StudentConfig, StudentDetector
 
 
 def small_model(rng) -> nn.Sequential:
+    """Three convs with activations between: the student's own layers."""
     return nn.Sequential([
-        ("fc1", nn.Linear(4, 8, rng=rng)),
-        ("act1", nn.ReLU()),
-        ("fc2", nn.Linear(8, 8, rng=np.random.default_rng(5))),
-        ("act2", nn.ReLU()),
-        ("head", nn.Linear(8, 2, rng=np.random.default_rng(6))),
+        ("conv1", nn.Conv2d(2, 4, 3, padding=1, rng=rng)),
+        ("act1", nn.LeakyReLU(0.1)),
+        ("conv2", nn.Conv2d(4, 4, 3, padding=1, rng=np.random.default_rng(5))),
+        ("act2", nn.LeakyReLU(0.1)),
+        ("head", nn.Conv2d(4, 2, 1, rng=np.random.default_rng(6))),
     ])
+
+
+def small_input(rng, n: int = 3) -> np.ndarray:
+    return rng.normal(size=(n, 2, 4, 4))
 
 
 class TestSequentialBasics:
     def test_forward_equals_composition(self, rng):
         model = small_model(rng)
-        x = rng.normal(size=(3, 4))
+        x = small_input(rng)
         manual = x
         for _, layer in model.named_layers():
             manual = layer.forward(manual)
@@ -41,8 +46,8 @@ class TestSequentialBasics:
     def test_len_contains_getitem(self, rng):
         model = small_model(rng)
         assert len(model) == 5
-        assert "fc2" in model
-        assert isinstance(model["fc2"], nn.Linear)
+        assert "conv2" in model
+        assert isinstance(model["conv2"], nn.Conv2d)
 
     def test_index_of_unknown_layer_raises(self, rng):
         with pytest.raises(KeyError):
@@ -50,67 +55,66 @@ class TestSequentialBasics:
 
     def test_parameters_collects_all(self, rng):
         model = small_model(rng)
-        assert len(model.parameters()) == 6  # three Linear layers x (W, b)
+        assert len(model.parameters()) == 6  # three Conv2d layers x (W, b)
 
     def test_train_eval_propagates(self, rng):
-        model = nn.Sequential([("drop", nn.Dropout(0.5))])
+        model = nn.Sequential([("act", nn.LeakyReLU(0.1))])
         model.eval()
-        assert not model["drop"].training
+        assert not model["act"].training
         model.train()
-        assert model["drop"].training
+        assert model["act"].training
 
-    def test_layers_before_and_from(self, rng):
+    def test_layers_before(self, rng):
         model = small_model(rng)
-        assert model.layers_before("fc2") == ["fc1", "act1"]
-        assert model.layers_from("fc2") == ["fc2", "act2", "head"]
+        assert model.layers_before("conv2") == ["conv1", "act1"]
 
 
 class TestCutPointExecution:
     def test_forward_until_plus_from_equals_full(self, rng):
         model = small_model(rng)
-        x = rng.normal(size=(3, 4))
+        x = small_input(rng)
         full = model.forward(x)
-        latent = model.forward_until(x, "fc2")
-        spliced = model.forward_from(latent, "fc2")
+        latent = model.forward_until(x, "conv2")
+        spliced = model.forward_from(latent, "conv2")
         assert np.allclose(full, spliced)
 
     def test_backward_from_end_stops_at_cut(self, rng):
         model = small_model(rng)
-        x = rng.normal(size=(3, 4))
-        model.forward_until(x, "fc2")
-        latent = model.forward_until(x, "fc2")
-        out = model.forward_from(latent, "fc2")
+        x = small_input(rng)
+        model.forward_until(x, "conv2")
+        latent = model.forward_until(x, "conv2")
+        out = model.forward_from(latent, "conv2")
         model.zero_grad()
-        model.backward_from_end(np.ones_like(out), "fc2")
+        model.backward_from_end(np.ones_like(out), "conv2")
         # front layers got no gradient, rear layers did
-        assert np.allclose(model["fc1"].weight.grad, 0.0)
-        assert not np.allclose(model["fc2"].weight.grad, 0.0)
+        assert np.allclose(model["conv1"].weight.grad, 0.0)
+        assert not np.allclose(model["conv2"].weight.grad, 0.0)
 
     def test_backward_front_continues(self, rng):
         model = small_model(rng)
-        x = rng.normal(size=(3, 4))
-        latent = model.forward_until(x, "fc2")
-        out = model.forward_from(latent, "fc2")
+        x = small_input(rng)
+        latent = model.forward_until(x, "conv2")
+        out = model.forward_from(latent, "conv2")
         model.zero_grad()
-        grad_at_cut = model.backward_from_end(np.ones_like(out), "fc2")
-        model.backward_front(grad_at_cut, "fc2")
-        assert not np.allclose(model["fc1"].weight.grad, 0.0)
+        grad_at_cut = model.backward_from_end(np.ones_like(out), "conv2")
+        model.backward_front(grad_at_cut, "conv2")
+        assert not np.allclose(model["conv1"].weight.grad, 0.0)
 
     def test_split_backward_matches_full_backward(self, rng):
         model_a = small_model(rng)
         model_b = small_model(rng)
         model_b.load_state_dict(model_a.state_dict())
-        x = rng.normal(size=(3, 4))
+        x = small_input(rng)
 
         out_a = model_a.forward(x)
         model_a.zero_grad()
         model_a.backward(np.ones_like(out_a))
 
-        latent = model_b.forward_until(x, "fc2")
-        out_b = model_b.forward_from(latent, "fc2")
+        latent = model_b.forward_until(x, "conv2")
+        out_b = model_b.forward_from(latent, "conv2")
         model_b.zero_grad()
-        grad_cut = model_b.backward_from_end(np.ones_like(out_b), "fc2")
-        model_b.backward_front(grad_cut, "fc2")
+        grad_cut = model_b.backward_from_end(np.ones_like(out_b), "conv2")
+        model_b.backward_front(grad_cut, "conv2")
 
         for pa, pb in zip(model_a.parameters(), model_b.parameters()):
             assert np.allclose(pa.grad, pb.grad, atol=1e-10)
@@ -119,7 +123,7 @@ class TestCutPointExecution:
         model_a = small_model(rng)
         model_b = small_model(np.random.default_rng(99))
         model_b.load_state_dict(model_a.state_dict())
-        x = rng.normal(size=(2, 4))
+        x = small_input(rng, 2)
         assert np.allclose(model_a.forward(x), model_b.forward(x))
 
 
@@ -167,8 +171,8 @@ class TestSkippedInputGradient:
         assert skipped == full
 
     def test_a_first_layer_other_than_conv_returns_the_input_gradient(self, rng):
-        model = small_model(rng)
-        x = rng.normal(size=(3, 4))
+        model = nn.Sequential([("act0", nn.LeakyReLU(0.1)), *small_model(rng).named_layers()])
+        x = small_input(rng)
         assert model.backward(np.ones_like(model.forward(x))).shape == x.shape
 
     def test_conv2d_without_input_gradient_returns_none(self, rng):

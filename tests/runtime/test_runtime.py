@@ -1,4 +1,4 @@
-"""Tests for the compute, FPS and resource-usage models."""
+"""Tests for the simulation clock and the compute models."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import pytest
 from repro.runtime import (
     CloudComputeModel,
     EdgeComputeModel,
-    FPSTracker,
-    ResourceMonitor,
     SimulationClock,
     TrainingCostModel,
 )
@@ -80,74 +78,12 @@ class TestEdgeComputeModel:
 
 
 class TestCloudComputeModel:
-    def test_labeling_and_training_seconds(self):
+    def test_training_seconds(self):
         model = CloudComputeModel(teacher_inference_seconds=0.05, training_seconds_per_step=0.03)
-        assert model.labeling_seconds(10) == pytest.approx(0.5)
         assert model.training_seconds(10) == pytest.approx(0.3)
-
-    def test_supported_devices(self):
-        model = CloudComputeModel()
-        assert model.supported_edge_devices(0.1) == pytest.approx(10.0)
-        assert model.supported_edge_devices(0.0) == float("inf")
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             CloudComputeModel(teacher_inference_seconds=0)
         with pytest.raises(ValueError):
-            CloudComputeModel().labeling_seconds(-1)
-
-
-class TestFPSTracker:
-    def test_average_and_trace(self):
-        tracker = FPSTracker()
-        for i in range(60):
-            tracker.record_frame(i / 30.0)
-        trace = tracker.trace()
-        assert trace.shape == (2,)
-        assert trace[0] == 30 and tracker.average_fps() == pytest.approx(30.0)
-
-    def test_minimum_excludes_partial_last_second(self):
-        tracker = FPSTracker()
-        for i in range(30):
-            tracker.record_frame(i / 30.0)
-        tracker.record_frame(1.01)  # partial second
-        assert tracker.minimum_fps() == pytest.approx(30.0)
-
-    def test_empty(self):
-        assert FPSTracker().average_fps() == 0.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            FPSTracker().record_frame(-1.0)
-
-
-class TestResourceMonitor:
-    def test_utilization_bounded(self):
-        monitor = ResourceMonitor()
-        monitor.record_busy(0.2, 0.7)
-        monitor.record_busy(0.8, 0.9)  # same second; exceeds capacity
-        assert monitor.utilization(0, 1) == 1.0
-
-    def test_window_average(self):
-        monitor = ResourceMonitor()
-        monitor.record_busy(0.5, 0.5)
-        monitor.record_busy(1.5, 1.0)
-        assert monitor.utilization(0, 2) == pytest.approx(0.75)
-
-    def test_trace_and_average(self):
-        monitor = ResourceMonitor()
-        monitor.record_busy(0.0, 0.4)
-        monitor.record_busy(2.0, 0.8)
-        trace = monitor.utilization_trace()
-        assert trace.shape == (3,)
-        assert monitor.average_utilization() == pytest.approx((0.4 + 0.0 + 0.8) / 3)
-
-    def test_empty(self):
-        assert ResourceMonitor().utilization(0, 5) == 0.0
-        assert ResourceMonitor().average_utilization() == 0.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            ResourceMonitor(0)
-        with pytest.raises(ValueError):
-            ResourceMonitor().record_busy(0.0, -1.0)
+            CloudComputeModel().training_seconds(-1)

@@ -18,18 +18,12 @@ from repro.video import (
     DriftSchedule,
     DriftSegment,
     blend_domains,
-    get_domain,
 )
 
 
 class TestDomain:
     def test_canonical_domains_registered(self):
         assert set(DOMAINS) == {"day_sunny", "day_cloudy", "rainy", "dusk", "night"}
-
-    def test_get_domain(self):
-        assert get_domain("night") is NIGHT
-        with pytest.raises(KeyError):
-            get_domain("fog")
 
     def test_class_distribution_normalised(self):
         for domain in DOMAINS.values():

@@ -134,7 +134,7 @@ class TestVideoStream:
     def test_frames_carry_ground_truth_and_domain(self):
         frames = list(self.make_stream(30))
         assert all(frame.domain_name == "day_sunny" for frame in frames)
-        assert any(frame.num_objects > 0 for frame in frames)
+        assert any(frame.ground_truth for frame in frames)
 
     def test_single_iteration_only(self):
         stream = self.make_stream(10)
