@@ -90,6 +90,9 @@ class _BatchNormBase(Module):
         original_shape = x.shape
         flat = self._flatten(x)
         if self.training:
+            if not len(flat):
+                # the batch statistics of no samples are NaN
+                raise ValueError("a training-mode forward needs at least one sample")
             out = self._train_forward(flat)
         else:
             # gamma * x_hat + beta of the running statistics, in place on

@@ -106,6 +106,25 @@ class TestStudentDetector:
         # infer left the model in eval mode: the layer path too
         assert student.forward(empty).shape == (0, CELL_CHANNELS, 8, 8)
 
+    @pytest.mark.parametrize("norm", ["brn", "bn"])
+    def test_empty_training_batch_raises_before_any_statistic_moves(self, norm):
+        student = StudentDetector(StudentConfig(norm=norm, seed=3))
+        norms = [
+            layer for _, layer in student.model.named_layers()
+            if hasattr(layer, "running_mean")
+        ]
+        before = [
+            (layer.running_mean, layer.running_var, layer.num_batches_tracked)
+            for layer in norms
+        ]
+        student.model.train()
+        with pytest.raises(ValueError):
+            student.forward(np.zeros((0, 3, 32, 32)))
+        for layer, (mean, var, count) in zip(norms, before):
+            assert layer.running_mean is mean and layer.running_var is var
+            assert layer.num_batches_tracked == count
+        assert np.isfinite(student.forward(np.ones((2, 3, 32, 32)))).all()
+
     def test_rejects_wrong_input(self):
         student = StudentDetector()
         with pytest.raises(ValueError):
