@@ -384,7 +384,8 @@ def run_fleet(
     ``worker_specs`` with ``revocations`` and ``revocation_mode`` (a
     heterogeneous, partly preemptible cluster) and ``batching``
     (cluster-wide teacher batches).  ``link_config`` shapes its free
-    WAN; a ready ``link`` is folded as its config.  The benchmarks
+    WAN; a ready ``link`` is folded as its config (give one or the
+    other: both raise ``ValueError``).  The benchmarks
     ``bench_scheduler_policies``, ``bench_cloud_sharding``,
     ``bench_autoscaling``, ``bench_spot_preemption`` and
     ``bench_serving_throughput`` sweep these knobs.  ``regions`` (a
@@ -405,6 +406,8 @@ def run_fleet(
     ``docs/performance.md``.
     """
     if link is not None:
+        if link_config is not None:
+            raise ValueError("give run_fleet a link or a link_config, not both")
         link_config = link.config
     if link_config is not None:
         cluster["wan"] = WanProfile(**asdict(link_config))

@@ -47,7 +47,7 @@ from repro.detection import (
     TeacherDetector,
 )
 from repro.eval import fleet_fingerprint, run_fleet
-from repro.network.link import SharedLink, WanProfile
+from repro.network.link import LinkConfig, SharedLink, WanProfile
 from repro.runtime.journal import EventJournal
 from repro.testing.scenarios import build_cameras, small_fleet_config
 
@@ -425,6 +425,17 @@ def test_federation_validation_errors():
     with pytest.raises(ValueError):
         # outage interval must be ordered
         build_fleet(regions=two_regions(), region_outages=[(2.0, 1.0, 0)])
+
+
+def test_run_fleet_refuses_a_link_and_a_link_config():
+    """A ready link is folded as its config, so a second config is refused."""
+    with pytest.raises(ValueError, match="not both"):
+        run_fleet(
+            build_cameras(1, 30),
+            StudentDetector(StudentConfig(seed=5)),
+            link=SharedLink(),
+            link_config=LinkConfig(uplink_kbps=1000.0),
+        )
 
 
 def test_every_region_fails_fast_on_a_cluster_it_cannot_grow():
