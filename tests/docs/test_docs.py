@@ -169,3 +169,86 @@ def test_benchmarks_index_covers_every_script():
         if str(script.relative_to(REPO)) not in index
     ]
     assert not missing, f"docs/benchmarks.md does not index: {missing}"
+
+
+# ---------------------------------------------------------------------------
+# no dead definitions, no dangling exports
+# ---------------------------------------------------------------------------
+SRC = REPO / "src" / "repro"
+#: ``.py`` files whose text counts as a use of a library definition
+USING_FILES = [
+    path
+    for path in sorted((REPO / "src").rglob("*.py"))
+    + sorted((REPO / "benchmarks").rglob("*.py"))
+    + sorted((REPO / "examples").rglob("*.py"))
+    if path.name != "__init__.py"
+]
+
+#: public definitions that nothing in the library, the benchmarks or the
+#: examples names, kept on purpose
+UNUSED_BY_DESIGN = {
+    "nms": "public entry point the exactness tests drive into the live nms_keep",
+    "match_greedy": "public entry point the exactness tests drive into the live greedy_matches",
+    "fleet_fingerprint": "fingerprint helper the determinism and pin tests share",
+}
+
+
+def unused_definitions() -> set[str]:
+    """Public top-level classes and functions in ``src/repro`` that no
+    code names outside their own definition and ``__all__``.
+
+    A name counts as used where it appears as a word in any other
+    non-``__init__`` module of ``src/``, ``benchmarks/`` or ``examples/``,
+    or in its own module outside its definition and ``__all__``. A
+    package's re-export is not a use.
+    """
+    texts = {path: path.read_text() for path in USING_FILES}
+    unused = set()
+    for path in USING_FILES:
+        if SRC not in path.parents:
+            continue
+        tree = ast.parse(texts[path])
+        lines = texts[path].splitlines()
+        exports = [
+            node for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        ]
+        for node in tree.body:
+            if not isinstance(node, (ast.ClassDef, ast.FunctionDef)) or node.name.startswith("_"):
+                continue
+            skipped = {
+                line
+                for span in [node, *exports]
+                for line in range(span.lineno - 1 - len(getattr(span, "decorator_list", [])),
+                                  span.end_lineno)
+            }
+            own = "\n".join(text for i, text in enumerate(lines) if i not in skipped)
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            others = (text for other, text in texts.items() if other != path)
+            if not word.search(own) and not any(word.search(text) for text in others):
+                unused.add(node.name)
+    return unused
+
+
+def test_every_public_definition_is_used():
+    """Library code that only its own tests call is deleted, not kept."""
+    unused = unused_definitions()
+    dead = sorted(unused - set(UNUSED_BY_DESIGN))
+    assert not dead, f"public definitions nothing uses: {dead}"
+    stale = sorted(set(UNUSED_BY_DESIGN) - unused)
+    assert not stale, f"UNUSED_BY_DESIGN entries that are now used or gone: {stale}"
+
+
+MODULES = sorted(
+    ".".join(path.relative_to(REPO / "src").with_suffix("").parts).removesuffix(".__init__")
+    for path in SRC.rglob("*.py")
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    """Each ``__all__`` entry names an attribute of its module (ruff F822)."""
+    loaded = importlib.import_module(module)
+    missing = [name for name in getattr(loaded, "__all__", ()) if not hasattr(loaded, name)]
+    assert not missing, f"{module}.__all__ names undefined {missing}"
