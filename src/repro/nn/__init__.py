@@ -33,7 +33,7 @@ from repro.nn.layers import (
 from repro.nn.norm import BatchNorm2d, BatchRenorm2d
 from repro.nn.sequential import Sequential
 from repro.nn.plan import EvalPlan
-from repro.nn.optim import SGD, ParamGroup
+from repro.nn.optim import SGD
 
 __all__ = [
     "im2col",
@@ -54,5 +54,4 @@ __all__ = [
     "Sequential",
     "EvalPlan",
     "SGD",
-    "ParamGroup",
 ]

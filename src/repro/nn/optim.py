@@ -12,28 +12,15 @@ optimizer directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.nn.layers import Parameter
 
-__all__ = ["ParamGroup", "SGD"]
-
-
-@dataclass
-class ParamGroup:
-    """A set of parameters sharing hyper-parameters."""
-
-    params: list[Parameter]
-    lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    _velocities: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+__all__ = ["SGD"]
 
 
 class SGD:
-    """Stochastic gradient descent over one or more parameter groups."""
+    """Stochastic gradient descent over one list of parameters."""
 
     def __init__(
         self,
@@ -49,17 +36,12 @@ class SGD:
             raise ValueError("momentum must be in [0, 1)")
         if weight_decay < 0:
             raise ValueError("weight decay must be non-negative")
-        self.groups: list[ParamGroup] = [
-            ParamGroup(list(params), lr=lr, momentum=momentum, weight_decay=weight_decay)
-        ]
+        self.parameters = list(params)
+        self.lr = lr
+        self.momentum = momentum
+        self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
-
-    @property
-    def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for group in self.groups:
-            out.extend(group.params)
-        return out
+        self._velocities: dict[int, np.ndarray] = {}
 
     # -- optimisation ------------------------------------------------------
     def zero_grad(self) -> None:
@@ -87,20 +69,19 @@ class SGD:
     def step(self) -> None:
         """Apply one SGD update using the currently accumulated gradients."""
         self._clip_gradients()
-        for group in self.groups:
-            for param in group.params:
-                if not param.trainable or param.lr_scale == 0.0:
-                    continue
-                grad = param.grad
-                if group.weight_decay:
-                    grad = grad + group.weight_decay * param.data
-                lr = group.lr * param.lr_scale
-                if group.momentum:
-                    vel = group._velocities.get(id(param))
-                    if vel is None:
-                        vel = np.zeros_like(param.data)
-                    vel = group.momentum * vel - lr * grad
-                    group._velocities[id(param)] = vel
-                    param.data = param.data + vel
-                else:
-                    param.data = param.data - lr * grad
+        for param in self.parameters:
+            if not param.trainable or param.lr_scale == 0.0:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            lr = self.lr * param.lr_scale
+            if self.momentum:
+                vel = self._velocities.get(id(param))
+                if vel is None:
+                    vel = np.zeros_like(param.data)
+                vel = self.momentum * vel - lr * grad
+                self._velocities[id(param)] = vel
+                param.data = param.data + vel
+            else:
+                param.data = param.data - lr * grad
