@@ -13,7 +13,10 @@ module:
   ``D1xx`` selection in ``ruff.toml``, so the check also runs where
   ruff is not installed), and every benchmark/example states what it
   demonstrates, its expected runtime and the ``REPRO_*`` knobs;
-* ``docs/benchmarks.md`` indexes every benchmark and example file.
+* ``docs/benchmarks.md`` indexes every benchmark and example file;
+* every public definition in ``src/repro`` is used by the library, a
+  benchmark or an example (or is listed, with a reason, as kept), and
+  every ``__all__`` entry resolves (mirrors ruff ``F822``).
 """
 
 from __future__ import annotations
