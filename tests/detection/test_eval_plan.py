@@ -1,12 +1,12 @@
 """The student's compiled eval plan: staleness, reference bound, batches, memory.
 
-:meth:`StudentDetector.infer` (behind ``detect`` and ``detect_batch``) runs an :class:`~repro.nn.plan.EvalPlan` with
-the norms folded into the convs. It is the one inference path that
-does not reproduce the layer-by-layer bits, so this module holds its
-reference bound against :meth:`StudentDetector.forward`, checks that
-the plan is rebuilt after every kind of weight change, and checks the
-memory rules the plan relies on: ``eval()`` releases the training
-caches, and weights are read-only.
+:meth:`StudentDetector.infer` (behind ``detect`` and ``detect_batch``)
+runs an :class:`~repro.nn.plan.EvalPlan` with the norms folded into the
+convs. It is the one inference path that does not reproduce the
+layer-by-layer bits, so this module holds its reference bound against
+:meth:`StudentDetector.forward`, checks that the plan is rebuilt after
+every kind of weight change, and checks the memory rules the plan relies
+on: ``eval()`` releases the training caches, and weights are read-only.
 """
 
 from __future__ import annotations
