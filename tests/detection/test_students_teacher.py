@@ -142,6 +142,39 @@ class TestStudentDetector:
         student.model.eval(), clone.model.eval()
         assert np.allclose(student.forward(x), clone.forward(x))
 
+    def test_clone_shares_read_only_state_and_trains_apart(self):
+        student = StudentDetector(StudentConfig(seed=1))
+        rng = np.random.default_rng(0)
+        student.model.train()
+        student.model.forward(rng.random((4, 3, 32, 32)))  # non-trivial statistics
+
+        def state_bytes(detector):
+            arrays = [param.data for param in detector.model.parameters()]
+            for _, layer in detector.model.named_layers():
+                if hasattr(layer, "running_mean"):
+                    arrays += [layer.running_mean, layer.running_var]
+                    arrays.append(np.array(layer.num_batches_tracked))
+            return [array.tobytes() for array in arrays]
+
+        source = state_bytes(student)
+        clone = student.clone()
+        assert state_bytes(clone) == source
+        with pytest.raises(ValueError):
+            clone.model.parameters()[0].data[0] = 1.0
+        with pytest.raises(ValueError):
+            clone.model["norm1"].running_mean[0] = 1.0
+
+        from repro.nn.optim import SGD
+
+        images = rng.random((4, 3, 32, 32))
+        targets = clone.codec.encode_batch([[GroundTruthBox(0, 0.5, 0.5, 0.2, 0.2)]] * 4)
+        clone.model.train()
+        _, grad = clone.detection_loss(clone.model.forward(images), targets)
+        clone.model.backward(grad)
+        SGD(clone.model.parameters(), lr=0.05, momentum=0.9).step()
+        assert state_bytes(student) == source
+        assert all(a != b for a, b in zip(state_bytes(clone), source))
+
     def test_save_load_roundtrip(self, tmp_path):
         student = StudentDetector(StudentConfig(seed=1))
         path = str(tmp_path / "student.npz")

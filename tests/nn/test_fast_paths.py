@@ -1,4 +1,4 @@
-"""Bit-exactness of the im2col fast path and of the layers' eval paths.
+"""Bit-exactness of the layers' fast paths, in training and eval mode.
 
 Each fast path is compared with a reference copy of the straightforward
 code it replaced, byte for byte.  For ``im2col`` the memory order of the
@@ -7,7 +7,10 @@ row-major operand differently from one with a column-major operand, so
 the products with a weight matrix are compared too.  In eval mode
 ``MaxPool2d``, ``LeakyReLU`` and the normalisation layers take cheaper
 kernels than in training mode and keep no backward state; they are held
-to the training-mode expressions.
+to the training-mode expressions.  In training mode ``col2im``,
+``MaxPool2d``, ``LeakyReLU`` and the normalisation layers are held to
+reference copies of the expressions they replaced: outputs, running
+statistics, parameter gradients and input gradients.
 """
 
 from __future__ import annotations
@@ -35,6 +38,21 @@ def reference_im2col(x, kernel_h, kernel_w, stride, padding):
             x_max = kx + stride * out_w
             cols[:, :, ky, kx, :, :] = x[:, :, ky:y_max:stride, kx:x_max:stride]
     return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+
+
+def reference_col2im(cols, input_shape, kernel_h, kernel_w, stride, padding):
+    """The k² slice loop adding into a zeroed NCHW buffer."""
+    n, c, h, w = input_shape
+    out_h = (h + 2 * padding - kernel_h) // stride + 1
+    out_w = (w + 2 * padding - kernel_w) // stride + 1
+    cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(0, 3, 4, 5, 1, 2)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for ky in range(kernel_h):
+        y_max = ky + stride * out_h
+        for kx in range(kernel_w):
+            x_max = kx + stride * out_w
+            padded[:, :, ky:y_max:stride, kx:x_max:stride] += cols[:, :, ky, kx, :, :]
+    return padded[:, :, padding : padding + h, padding : padding + w]
 
 
 def reference_maxpool(x, k, s):
@@ -93,6 +111,23 @@ def test_1x1_columns_of_an_nhwc_batch_are_a_view():
     assert_bitwise(cols, reference_im2col(x, 1, 1, 1, 0))
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize(("kernel", "stride", "padding"), IM2COL_CASES)
+def test_col2im_matches_reference_bytes(batch, kernel, stride, padding):
+    """Column-major and row-major columns, with -0.0 among them: the sum
+    into zeros gives +0.0 where every contribution is a zero."""
+    rng = np.random.default_rng(100 * kernel + 10 * stride + padding + batch)
+    shape = (batch, 4, 7, 6)
+    for name, x in layouts(rng, *shape):
+        cols = F.im2col(x, kernel, kernel, stride, padding)
+        signed = cols.copy(order="K")
+        signed[rng.random(cols.shape) < 0.3] = -0.0
+        for columns in (cols, signed, np.ascontiguousarray(signed)):
+            expected = reference_col2im(columns, shape, kernel, kernel, stride, padding)
+            actual = F.col2im(columns, shape, kernel, kernel, stride, padding)
+            assert_bitwise(actual, expected)
+
+
 @pytest.mark.parametrize("batch", [1, 4])
 def test_conv2d_forward_and_backward_match_the_reference_columns(batch):
     """The layers the student runs, in its activation layout, end to end."""
@@ -106,9 +141,12 @@ def test_conv2d_forward_and_backward_match_the_reference_columns(batch):
         out = conv.forward(x)
         assert_bitwise(out, expected.transpose(0, 3, 1, 2))
         grad = rng.normal(size=out.shape)
-        conv.backward(grad)
+        dx = conv.backward(grad)
         grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, 5)
         assert_bitwise(conv.weight.grad, (grad_flat.T @ cols).reshape(conv.weight.data.shape))
+        assert_bitwise(conv.bias.grad, grad_flat.sum(axis=0))
+        expected_dx = reference_col2im(grad_flat @ w_flat, x.shape, kernel, kernel, 1, padding)
+        assert_bitwise(dx, expected_dx)
 
 
 POOL_CASES = [
@@ -165,7 +203,7 @@ def test_maxpool_matches_reference(kernel, stride, height, width, values, traini
         grad_cols = np.zeros((expected_argmax.size, kernel * kernel))
         grad_cols[np.arange(expected_argmax.size), expected_argmax] = grad.reshape(-1)
         n, c, h, w = x.shape
-        expected_dx = F.col2im(grad_cols, (n * c, 1, h, w), kernel, kernel, stride, 0)
+        expected_dx = reference_col2im(grad_cols, (n * c, 1, h, w), kernel, kernel, stride, 0)
         assert_bitwise(dx, expected_dx.reshape(n, c, h, w))
 
 
@@ -189,6 +227,18 @@ def test_leaky_relu_eval_matches_the_masked_select(slope):
         layer.eval()
         for view in (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
             assert_bitwise(layer.forward(view), expected)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 0.5, 1.0])
+def test_leaky_relu_training_matches_the_masked_select(slope):
+    rng = np.random.default_rng(int(slope * 10) + 1)
+    x = signed_values(rng, (2, 5, 6, 7))
+    grad = signed_values(rng, x.shape)
+    for view in (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+        layer = nn.LeakyReLU(slope)
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            assert_bitwise(layer.forward(view), np.where(x > 0, x, slope * x))
+            assert_bitwise(layer.backward(grad), np.where(x > 0, grad, slope * grad))
 
 
 @pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan])
@@ -217,6 +267,90 @@ def test_norm_eval_matches_the_running_statistics_expression(layer_type):
         out = layer.forward(view)
         assert_bitwise(out, expected)
         assert out.strides == expected.strides
+
+
+def reference_norm_forward(layer, flat):
+    """The training forward's expressions: (output, running mean, running
+    var, backward cache) from ``flat`` and ``layer``'s current state."""
+    gamma, eps, m = layer.gamma.data, layer.eps, layer.momentum
+    mean = flat.mean(axis=0)
+    var = flat.var(axis=0)
+    std = np.sqrt(var + eps)
+    if isinstance(layer, nn.BatchNorm2d):
+        x_hat = (flat - mean) / std
+        cache = (x_hat, std, None)
+    else:
+        running_std = np.sqrt(layer.running_var + eps)
+        r = np.clip(std / running_std, 1.0 / layer.r_max, layer.r_max)
+        d = np.clip((mean - layer.running_mean) / running_std, -layer.d_max, layer.d_max)
+        x_hat = (flat - mean) / std * r + d
+        cache = ((flat - mean) / std, std, r)
+    running_mean = (1 - m) * layer.running_mean + m * mean
+    running_var = (1 - m) * layer.running_var + m * var
+    return gamma * x_hat + layer.beta.data, running_mean, running_var, cache
+
+
+def reference_norm_backward(gamma, grad_flat, cache):
+    """The training backward's expressions: (γ gradient, β gradient, input
+    gradient); ``r`` is None for BatchNorm."""
+    x_hat_core, std, r = cache
+    if r is None:
+        x_hat, dx_hat = x_hat_core, grad_flat * gamma
+    else:
+        x_hat, dx_hat = x_hat_core * r, grad_flat * gamma * r
+    dgamma = (grad_flat * x_hat).sum(axis=0)
+    dbeta = grad_flat.sum(axis=0)
+    if grad_flat.shape[0] == 1:
+        return dgamma, dbeta, dx_hat / std
+    dx = (dx_hat - dx_hat.mean(axis=0) - x_hat_core * (dx_hat * x_hat_core).mean(axis=0)) / std
+    return dgamma, dbeta, dx
+
+
+#: (channels, height, width) at the student's four norms, and one pixel
+NORM_GEOMETRIES = [(16, 32, 32), (32, 16, 16), (48, 8, 8), (64, 8, 8), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("kind", ["bn", "brn", "brn_clipped"])
+@pytest.mark.parametrize("batch", [1, 2, 12, 16])
+@pytest.mark.parametrize("geometry", NORM_GEOMETRIES, ids=str)
+def test_norm_training_matches_the_reference_expressions(kind, batch, geometry):
+    """Output, running statistics, γ/β gradients and input gradient of a
+    training step, from NCHW memory and from channels-last views."""
+    c, h, w = geometry
+    rng = np.random.default_rng(batch * 1000 + c)
+    for name, x in layouts(rng, batch, c, h, w):
+        layer = nn.BatchNorm2d(c) if kind == "bn" else nn.BatchRenorm2d(c)
+        layer.gamma.data = rng.normal(size=c)
+        layer.beta.data = rng.normal(size=c)
+        if kind == "brn_clipped":
+            # r and d at both ends of their clip ranges
+            even = np.arange(c) % 2 == 0
+            layer.running_mean = np.where(even, 20.0, -200.0)
+            layer.running_var = np.where(even, 1e-4, 100.0)
+        else:
+            layer.running_mean = rng.normal(0.0, 0.1, size=c)
+            layer.running_var = rng.uniform(0.5, 2.0, size=c)
+        gamma_grad, beta_grad = rng.normal(size=c), rng.normal(size=c)
+        layer.gamma.grad, layer.beta.grad = gamma_grad.copy(), beta_grad.copy()
+
+        flat = x.transpose(0, 2, 3, 1).reshape(-1, c)
+        out, running_mean, running_var, cache = reference_norm_forward(layer, flat)
+        assert_bitwise(layer.forward(x), out.reshape(batch, h, w, c).transpose(0, 3, 1, 2))
+        assert_bitwise(layer.running_mean, running_mean)
+        assert_bitwise(layer.running_var, running_var)
+        if kind == "brn_clipped" and c > 1 and flat.shape[0] > 1:
+            r = cache[2]
+            assert r.max() == layer.r_max and r.min() == 1.0 / layer.r_max
+
+        grad = rng.normal(size=(batch, c, h, w))
+        if name != "nchw":
+            grad = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, c)
+        dgamma, dbeta, dx = reference_norm_backward(layer.gamma.data, grad_flat, cache)
+        actual_dx = layer.backward(grad)
+        assert_bitwise(layer.gamma.grad, gamma_grad + dgamma)
+        assert_bitwise(layer.beta.grad, beta_grad + dbeta)
+        assert_bitwise(actual_dx, dx.reshape(batch, h, w, c).transpose(0, 3, 1, 2))
 
 
 STALE_CACHE_CASES = [
