@@ -82,24 +82,25 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col`; overlapping contributions are summed."""
+    """Inverse of :func:`im2col`; overlapping contributions are summed.
+
+    The sums run in a zeroed channels-last buffer, so each of the k²
+    strided adds moves runs of channels; every pixel still receives its
+    contributions in (ky, kx) order, starting from +0.0.  The result is
+    an NCHW-shaped view of that buffer.
+    """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
 
-    cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(
-        0, 3, 4, 5, 1, 2
-    )
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
     for ky in range(kernel_h):
         y_max = ky + stride * out_h
         for kx in range(kernel_w):
             x_max = kx + stride * out_w
-            padded[:, :, ky:y_max:stride, kx:x_max:stride] += cols[:, :, ky, kx, :, :]
-
-    if padding > 0:
-        return padded[:, :, padding : padding + h, padding : padding + w]
-    return padded
+            padded[:, ky:y_max:stride, kx:x_max:stride, :] += cols[..., ky, kx]
+    return padded[:, padding : padding + h, padding : padding + w, :].transpose(0, 3, 1, 2)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -322,23 +322,55 @@ class LeakyReLU(Module):
         s = self.negative_slope
         if self.training:
             self._mask = x > 0
-            return np.where(self._mask, x, s * x)
         if s == 0.0:
             # 0 * inf is NaN, so the max below would turn +inf into NaN
             return np.where(x > 0, x, s * x)
         # for 0 < s <= 1, s*x <= x when x >= 0 and s*x >= x when x <= 0,
         # and np.maximum returns x itself for a NaN x: the same bits as
         # the masked select, ±0 included
-        return np.maximum(x, s * x)
+        out = np.multiply(x, s)
+        return np.maximum(x, out, out=out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        """``where(x > 0, grad, s * grad)`` as one product, ``grad * factor``.
+
+        The factor is ``(x > 0) * (1 - s) + s``: ``s`` where the mask is
+        off, and where it is on ``(1 - s) + s``, which rounds to exactly
+        1.0 for every s in [0, 1]. Multiplying by 1.0 or s gives the
+        select's bits (IEEE products commute), ±0, ±inf and NaN included.
+        """
         if self._mask is None:
             raise RuntimeError("backward called before a training-mode forward")
-        return np.where(self._mask, grad, self.negative_slope * grad)
+        s = self.negative_slope
+        factor = np.multiply(self._mask, 1.0 - s)
+        factor += s
+        return np.multiply(grad, factor, out=factor)
+
+
+def _maximum_keeps_the_second_on_ties() -> bool:
+    """Whether ``np.maximum(a, b)`` returns ``b`` where ``a == b``.
+
+    For NaN-free operands it then equals ``where(a > b, a, b)`` bit for
+    bit, ±0 included: x86's ``maxpd`` behaves so, ARM's ``fmax``
+    prefers +0. Checked on both zero orders, at a length with a SIMD
+    body and a scalar tail.
+    """
+    plus, minus = np.zeros(35), np.full(35, -0.0)
+    return bool(np.signbit(np.maximum(plus, minus)).all()
+                and not np.signbit(np.maximum(minus, plus)).any())
+
+
+_MAXIMUM_KEEPS_SECOND = _maximum_keeps_the_second_on_ties()
 
 
 class MaxPool2d(Module):
-    """Max pooling over non-overlapping (or strided) windows of NCHW inputs."""
+    """Max pooling over non-overlapping (or strided) windows of NCHW inputs.
+
+    Windows that tile the input take a tournament over the k² strided
+    window slices (:meth:`_tournament`); overlapping or partial windows,
+    and input that holds a NaN, take ``argmax`` over one column per
+    window.
+    """
 
     _training_state = ("_cache",)
 
@@ -348,7 +380,7 @@ class MaxPool2d(Module):
             raise ValueError("kernel_size must be positive")
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
-        self._cache: tuple[np.ndarray, np.ndarray, tuple[int, ...]] | None = None
+        self._cache: tuple[np.ndarray, tuple[int, ...] | None, tuple[int, ...]] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -356,10 +388,13 @@ class MaxPool2d(Module):
         out_h = F.conv_output_size(h, k, s, 0)
         out_w = F.conv_output_size(w, k, s, 0)
         tiles = k == s and h % k == 0 and w % k == 0
-        if not self.training:
-            # NaN windows take the argmax path; initial= allows an empty batch
-            if tiles and not np.isnan(x.max(initial=-np.inf)):
-                return self._tournament(x)
+        # NaN windows take the argmax path; initial= allows an empty batch
+        if tiles and not np.isnan(x.max(initial=-np.inf)):
+            out, index = self._tournament(x)
+            if self.training:
+                self._cache = (index, None, x.shape)
+                return out
+            return np.ascontiguousarray(out)
         if tiles:
             # non-overlapping windows that tile the input: the same rows
             # and window order as im2col, from a reshape and one copy
@@ -373,35 +408,71 @@ class MaxPool2d(Module):
         argmax = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
         if self.training:
-            self._cache = (argmax, np.array(cols.shape), x.shape)
+            self._cache = (argmax, cols.shape, x.shape)
         return out.reshape(n, c, out_h, out_w)
 
-    def _tournament(self, x: np.ndarray) -> np.ndarray:
-        """Max over the k² strided slices of NaN-free tiling windows.
+    def _tournament(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Max over the k² strided slices of tiling windows, and in
+        training mode the window position it came from.
 
         A slice replaces the running maximum only where it is strictly
-        greater, so the first maximum in window order wins, as with
-        ``argmax``: ties and ±0 give the same bits.
+        greater, so for NaN-free input the first maximum in window order
+        wins, as with ``argmax``: ties and ±0 give the same bits, and
+        the position is ``argmax``'s. The maximum keeps the input's
+        memory order.
         """
         k = self.kernel_size
-        out = x[:, :, ::k, ::k]
-        for ky in range(k):
-            for kx in range(k):
-                if ky or kx:
-                    window = x[:, :, ky::k, kx::k]
-                    out = np.where(window > out, window, out)
-        return np.ascontiguousarray(out)
+        out = x[:, :, ::k, ::k].copy(order="K")
+        index = greater = None
+        if self.training:
+            index = np.zeros_like(out, dtype=np.min_scalar_type(k * k - 1))
+            greater = np.empty_like(out, dtype=bool)
+        for j in range(1, k * k):
+            window = x[:, :, j // k :: k, j % k :: k]
+            if index is not None:
+                np.greater(window, out, out=greater)
+                # positions only grow, so the last greater slice wins
+                np.maximum(index, greater * index.dtype.type(j), out=index)
+            if _MAXIMUM_KEEPS_SECOND:
+                np.maximum(window, out, out=out)
+            else:
+                out = np.where(window > out, window, out)
+        return out, index
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
-        argmax, cols_shape, x_shape = self._cache
+        index, cols_shape, x_shape = self._cache
         n, c, h, w = x_shape
         k, s = self.kernel_size, self.stride
-        grad_cols = np.zeros(tuple(cols_shape), dtype=np.float64)
-        grad_cols[np.arange(grad_cols.shape[0]), argmax] = grad.reshape(-1)
+        if cols_shape is None:
+            return self._tournament_backward(grad, index, x_shape)
+        grad_cols = np.zeros(cols_shape, dtype=np.float64)
+        grad_cols[np.arange(grad_cols.shape[0]), index] = grad.reshape(-1)
         dx = F.col2im(grad_cols, (n * c, 1, h, w), k, k, s, 0)
         return dx.reshape(n, c, h, w)
+
+    def _tournament_backward(
+        self, grad: np.ndarray, index: np.ndarray, x_shape: tuple[int, ...]
+    ) -> np.ndarray:
+        """Each window position gets the gradient where it won, else +0.0.
+
+        The windows tile the input, so every input pixel is written once,
+        from ``grad + 0.0``: the sum into zeros of ``col2im``, which
+        turns -0.0 into +0.0. The select is a bitwise AND with an
+        all-ones or all-zeros mask, exact for every value. The result is
+        an NCHW-shaped view of channels-last memory.
+        """
+        n, c, h, w = x_shape
+        k = self.kernel_size
+        bits = np.add(grad, 0.0, dtype=np.float64).view(np.int64)
+        dx = np.empty((n, h, w, c)).transpose(0, 3, 1, 2)
+        mask = np.empty_like(bits)
+        for j in range(k * k):
+            # True -> -1, all bits set; False -> 0
+            np.negative(np.equal(index, j).view(np.int8), out=mask)
+            np.bitwise_and(bits, mask, out=dx[:, :, j // k :: k, j % k :: k].view(np.int64))
+        return dx
 
 
 class Identity(Module):

@@ -111,28 +111,58 @@ class _BatchNormBase(Module):
         return self._unflatten(dx, original_shape)
 
 
+def _centre(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batch mean and variance of ``flat``: (mean, var, centred, scratch).
+
+    ``flat.var(axis=0)`` is ``((flat - mean) ** 2).sum(axis=0) / n`` with
+    ``flat.mean(axis=0)`` as the mean, so the centred values it builds
+    are computed once and kept, with a scratch buffer of the same shape.
+    """
+    mean = flat.mean(axis=0)
+    centred = flat - mean
+    scratch = np.multiply(centred, centred)
+    var = scratch.sum(axis=0) / len(flat)
+    return mean, var, centred, scratch
+
+
+def _input_grad(dx_hat: np.ndarray, x_hat: np.ndarray, std: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """``(dx_hat - mean(dx_hat) - x_hat * mean(dx_hat * x_hat)) / std``,
+    overwriting ``dx_hat`` and ``scratch``; ``dx_hat / std`` for one row."""
+    if len(dx_hat) > 1:
+        mean_dx_hat = dx_hat.mean(axis=0)
+        mean_product = np.multiply(dx_hat, x_hat, out=scratch).mean(axis=0)
+        dx_hat -= mean_dx_hat
+        dx_hat -= np.multiply(x_hat, mean_product, out=scratch)
+    dx_hat /= std
+    return dx_hat
+
+
 class _BatchNormMixin:
-    """Classic batch normalisation forward/backward (training mode)."""
+    """Classic batch normalisation forward/backward (training mode).
+
+    Both passes compute the same expressions as the textbook form, in
+    the same order, on two full-size buffers instead of one per operation.
+    """
 
     def _train_forward(self, flat: np.ndarray) -> np.ndarray:
-        mean = flat.mean(axis=0)
-        var = flat.var(axis=0)
+        mean, var, x_hat, out = _centre(flat)
         std = np.sqrt(var + self.eps)
-        x_hat = (flat - mean) / std
+        x_hat /= std
         self._cache = {"x_hat": x_hat, "std": std}
         self._update_running(mean, var)
-        return self.gamma.data * x_hat + self.beta.data
+        # gamma * x_hat + beta
+        np.multiply(x_hat, self.gamma.data, out=out)
+        out += self.beta.data
+        return out
 
     def _train_backward(self, grad_flat: np.ndarray) -> np.ndarray:
         x_hat = self._cache["x_hat"]
-        std = self._cache["std"]
-        n = grad_flat.shape[0]
-        self.gamma.grad += (grad_flat * x_hat).sum(axis=0)
+        scratch = np.multiply(grad_flat, x_hat)
+        self.gamma.grad += scratch.sum(axis=0)
         self.beta.grad += grad_flat.sum(axis=0)
-        dx_hat = grad_flat * self.gamma.data
-        return (
-            dx_hat - dx_hat.mean(axis=0) - x_hat * (dx_hat * x_hat).mean(axis=0)
-        ) / std if n > 1 else dx_hat / std
+        dx_hat = np.multiply(grad_flat, self.gamma.data)
+        return _input_grad(dx_hat, x_hat, self._cache["std"], scratch)
 
 
 class _BatchRenormMixin:
@@ -147,44 +177,43 @@ class _BatchRenormMixin:
 
     ``r`` and ``d`` are treated as constants in the backward pass, exactly as
     in the original formulation (gradients are not propagated through the
-    running statistics).
+    running statistics).  As in BatchNorm, both passes work in place on
+    two full-size buffers.
     """
 
     r_max = 3.0
     d_max = 5.0
 
     def _train_forward(self, flat: np.ndarray) -> np.ndarray:
-        mean = flat.mean(axis=0)
-        var = flat.var(axis=0)
+        mean, var, x_hat_core, out = _centre(flat)
         std = np.sqrt(var + self.eps)
         running_std = np.sqrt(self.running_var + self.eps)
 
         r = np.clip(std / running_std, 1.0 / self.r_max, self.r_max)
         d = np.clip((mean - self.running_mean) / running_std, -self.d_max, self.d_max)
 
-        x_hat = (flat - mean) / std * r + d
-        self._cache = {"std": std, "r": r, "x_hat_core": (flat - mean) / std}
+        x_hat_core /= std
+        self._cache = {"std": std, "r": r, "x_hat_core": x_hat_core}
         self._update_running(mean, var)
-        return self.gamma.data * x_hat + self.beta.data
+        # gamma * (x_hat_core * r + d) + beta
+        np.multiply(x_hat_core, r, out=out)
+        out += d
+        out *= self.gamma.data
+        out += self.beta.data
+        return out
 
     def _train_backward(self, grad_flat: np.ndarray) -> np.ndarray:
-        std = self._cache["std"]
         r = self._cache["r"]
         x_hat_core = self._cache["x_hat_core"]
-        n = grad_flat.shape[0]
-        x_hat = x_hat_core * r  # d is an additive constant; it vanishes in grads of x
-
-        self.gamma.grad += (grad_flat * x_hat).sum(axis=0)
+        # d is an additive constant; it vanishes in grads of x
+        scratch = np.multiply(x_hat_core, r)
+        scratch *= grad_flat
+        self.gamma.grad += scratch.sum(axis=0)
         self.beta.grad += grad_flat.sum(axis=0)
 
-        dx_hat = grad_flat * self.gamma.data * r
-        if n > 1:
-            return (
-                dx_hat
-                - dx_hat.mean(axis=0)
-                - x_hat_core * (dx_hat * x_hat_core).mean(axis=0)
-            ) / std
-        return dx_hat / std
+        dx_hat = np.multiply(grad_flat, self.gamma.data)
+        dx_hat *= r
+        return _input_grad(dx_hat, x_hat_core, self._cache["std"], scratch)
 
 
 class BatchNorm2d(_BatchNormMixin, _BatchNormBase):
