@@ -2,7 +2,7 @@
 
 Every benchmark regenerates one of the paper's tables or figures (see
 DESIGN.md section 4 and EXPERIMENTS.md for the mapping).  All benchmarks share
-the same pre-trained student (cached on disk after the first run) and the same
+the same pre-trained student (trained once per session) and the same
 experiment settings, sized so the full suite completes in CPU-minutes.
 
 Run with::
@@ -21,7 +21,6 @@ import pytest
 from repro.eval import ExperimentSettings, prepare_student
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-CACHE_DIR = os.path.join(os.path.dirname(__file__), ".cache")
 
 
 @pytest.fixture(scope="session")
@@ -45,19 +44,12 @@ def settings() -> ExperimentSettings:
 
 @pytest.fixture(scope="session")
 def student(settings):
-    """Offline pre-trained student shared by every benchmark (disk-cached).
+    """Offline pre-trained student shared by every benchmark of a session.
 
-    The cache key includes every setting that shapes pretraining, so a
-    reduced smoke run and a full-scale run never reuse each other's
-    student.
+    It is trained afresh each session, so a table always comes from the
+    pretraining code of the tree it runs on.
     """
-    os.makedirs(CACHE_DIR, exist_ok=True)
-    cache_path = os.path.join(
-        CACHE_DIR,
-        f"student_seed{settings.seed}"
-        f"_i{settings.pretrain_images}_e{settings.pretrain_epochs}.npz",
-    )
-    return prepare_student(settings, cache_path=cache_path)
+    return prepare_student(settings)
 
 
 @pytest.fixture(scope="session")

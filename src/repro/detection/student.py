@@ -12,6 +12,7 @@ the input, at the ``conv5_4`` analog, or at the penultimate ``pool`` layer.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,38 +165,18 @@ class StudentDetector:
         self.model.load_state_dict(state)
 
     def clone(self) -> "StudentDetector":
-        """Deep copy (same config, copied weights); used by the AMS baseline."""
-        other = StudentDetector(self.config)
-        other.load_state_dict(self.state_dict())
-        # copy normalisation running statistics too
-        for (_, src), (_, dst) in zip(self.model.named_layers(), other.model.named_layers()):
-            if hasattr(src, "running_mean"):
-                dst.running_mean = src.running_mean.copy()
-                dst.running_var = src.running_var.copy()
-                dst.num_batches_tracked = src.num_batches_tracked
+        """A copy with the same config, weights and norm statistics.
+
+        Weights and statistics are read-only, so the copy shares the
+        source's arrays (:meth:`~repro.nn.Module.copy`) instead of drawing
+        a He-normal initialisation and copying over it. Training either
+        one replaces its own arrays. Like a new student, the copy is in
+        training mode, with no gradients and no compiled plan.
+        """
+        other = copy.copy(self)
+        other.model = self.model.copy()
+        other._plan = None
         return other
-
-    def save(self, path: str) -> None:
-        """Persist weights (and norm statistics) to an ``.npz`` file."""
-        arrays = {f"param::{k}": v for k, v in self.state_dict().items()}
-        for name, layer in self.model.named_layers():
-            if hasattr(layer, "running_mean"):
-                arrays[f"stat::{name}::mean"] = layer.running_mean
-                arrays[f"stat::{name}::var"] = layer.running_var
-        np.savez(path, **arrays)
-
-    def load(self, path: str) -> None:
-        """Load weights saved by :meth:`save`."""
-        data = np.load(path)
-        state = {
-            key[len("param::"):]: data[key] for key in data.files if key.startswith("param::")
-        }
-        self.load_state_dict(state)
-        for name, layer in self.model.named_layers():
-            mean_key, var_key = f"stat::{name}::mean", f"stat::{name}::var"
-            if hasattr(layer, "running_mean") and mean_key in data.files:
-                layer.running_mean = data[mean_key].copy()
-                layer.running_var = data[var_key].copy()
 
     # -- inference -----------------------------------------------------------
     def _check_images(self, images: np.ndarray) -> None:

@@ -94,17 +94,11 @@ class ExperimentSettings:
 
 def prepare_student(
     settings: ExperimentSettings | None = None,
-    cache_path: str | None = None,
     student_config: StudentConfig | None = None,
 ) -> StudentDetector:
-    """Pre-train (or load from cache) the offline student every strategy starts from."""
+    """Pre-train the offline student every strategy starts from."""
     settings = settings or ExperimentSettings()
     student = StudentDetector(student_config or StudentConfig(seed=settings.seed + 3))
-
-    if cache_path and os.path.exists(cache_path):
-        student.load(cache_path)
-        return student
-
     images, labels = generate_offline_dataset(
         settings.pretrain_images, seed=settings.seed + 100
     )
@@ -117,9 +111,6 @@ def prepare_student(
         lr=0.05,
         seed=settings.seed,
     )
-    if cache_path:
-        os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
-        student.save(cache_path)
     return student
 
 

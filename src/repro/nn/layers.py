@@ -146,6 +146,28 @@ class Module:
             child.eval()
         return self
 
+    def copy(self) -> "Module":
+        """A copy that shares this module's weights and statistics.
+
+        They are read-only (a writer on either side assigns a new array),
+        so nothing is drawn or copied. Like a newly built module, the copy
+        is in training mode and holds no backward state, and its
+        parameters are new objects: trainable, at learning-rate scale 1.0,
+        with no gradient. Sub-modules held directly as attributes are
+        copied the same way.
+        """
+        dup = object.__new__(type(self))
+        for attr, value in self.__dict__.items():
+            if isinstance(value, Parameter):
+                value = Parameter(value.data, name=value.name)
+            elif isinstance(value, Module):
+                value = value.copy()
+            dup.__dict__[attr] = value
+        dup.training = True
+        for attr in self._training_state:
+            setattr(dup, attr, None)
+        return dup
+
     def children(self) -> Iterator["Module"]:
         """Direct sub-modules, including ones stored in list/tuple attributes."""
         for value in self.__dict__.values():

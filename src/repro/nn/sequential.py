@@ -46,6 +46,10 @@ class Sequential(Module):
         self._layers[name] = layer
         return self
 
+    def copy(self) -> "Sequential":
+        """A copy of every layer (see :meth:`Module.copy`), in the same order."""
+        return Sequential([(name, layer.copy()) for name, layer in self.named_layers()])
+
     # -- introspection ------------------------------------------------------
     @property
     def layer_names(self) -> list[str]:

@@ -148,19 +148,6 @@ def test_a_clone_compiles_its_own_plan_with_the_same_bits(student, frames):
     assert_bitwise(maps, student.infer(frames[:4]))
 
 
-def test_loading_saved_weights_makes_the_plan_stale(student, frames, tmp_path):
-    other = StudentDetector(StudentConfig(norm=student.config.norm, seed=8))
-    other.model.train()
-    other.model.forward(frames[:8])  # non-trivial running statistics
-    path = str(tmp_path / "student.npz")
-    other.save(path)
-    copy = student.clone()
-    plan = compiled(copy, frames[:2])
-    copy.load(path)
-    assert_rebuilt(copy, plan, frames[:4])
-    assert_bitwise(copy.infer(frames[:4]), other.infer(frames[:4]))
-
-
 class Square(nn.Module):
     """A layer outside the stage pattern."""
 
