@@ -20,7 +20,6 @@ from repro.detection.boxes import (
     Detection,
     Detections,
     as_detections,
-    iou_xyxy,
     iou_matrix,
     nms,
     match_greedy,
@@ -43,7 +42,6 @@ __all__ = [
     "Detection",
     "Detections",
     "as_detections",
-    "iou_xyxy",
     "iou_matrix",
     "nms",
     "match_greedy",

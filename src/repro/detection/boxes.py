@@ -22,7 +22,6 @@ __all__ = [
     "Detections",
     "as_detections",
     "xyxy",
-    "iou_xyxy",
     "pair_iou",
     "iou_matrix",
     "nms",
@@ -182,21 +181,6 @@ def _corners(boxes: Detections | Sequence[Detection] | Sequence[GroundTruthBox])
     return np.array([box.as_xyxy() for box in boxes])
 
 
-def iou_xyxy(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
-    """Intersection-over-union of two corner-format boxes."""
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    inter_w = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-    inter_h = max(0.0, min(ay2, by2) - max(ay1, by1))
-    inter = inter_w * inter_h
-    area_a = max(0.0, ax2 - ax1) * max(0.0, ay2 - ay1)
-    area_b = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
-    union = area_a + area_b - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
-
-
 def pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise IoU of corner boxes ``a[..., :]`` and ``b[..., :]``.
 
@@ -239,8 +223,9 @@ def nms_keep(rows: Sequence[Row], iou_threshold: float) -> list[int]:
         by_class.setdefault(row[0], []).append(index)
     kept: list[int] = []
     for class_id in sorted(by_class):
-        # corners and area once per box; the loop below is iou_xyxy
-        # inlined, with the same expressions in the same operand order.
+        # corners and area once per box, then the scalar IoU of two
+        # corner boxes: intersection over area_a + area_b - intersection,
+        # 0 where the union is not positive.
         # ``b if b < a else a`` is what min(a, b) computes, and
         # ``b if b > a else a`` max(a, b), NaN and signed zeros included,
         # without the call
@@ -259,7 +244,7 @@ def nms_keep(rows: Sequence[Row], iou_threshold: float) -> list[int]:
                 inter_h = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
                 inter = (inter_w if inter_w > 0.0 else 0.0) * (inter_h if inter_h > 0.0 else 0.0)
                 union = area_a + area_b - inter
-                # iou_xyxy is 0 for union <= 0, and iou_threshold > 0
+                # the IoU is 0 for union <= 0, and iou_threshold > 0
                 if union <= 0 or inter / union < iou_threshold:
                     survivors.append(box)
             boxes = survivors

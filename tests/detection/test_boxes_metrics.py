@@ -14,12 +14,12 @@ from repro.detection import (
     evaluate_average_iou,
     evaluate_map,
     iou_matrix,
-    iou_xyxy,
     label_consistency_loss,
     match_greedy,
     nms,
     windowed_map,
 )
+from repro.detection.boxes import pair_iou
 from repro.video import GroundTruthBox
 
 
@@ -56,18 +56,23 @@ class TestValidation:
         assert not detections.boxes.flags.writeable
 
 
+def iou(a, b):
+    """IoU of two corner boxes given as tuples."""
+    return float(pair_iou(np.array(a, dtype=float), np.array(b, dtype=float)))
+
+
 class TestIoU:
     def test_identical_boxes(self):
-        assert iou_xyxy((0, 0, 1, 1), (0, 0, 1, 1)) == pytest.approx(1.0)
+        assert iou((0, 0, 1, 1), (0, 0, 1, 1)) == pytest.approx(1.0)
 
     def test_disjoint_boxes(self):
-        assert iou_xyxy((0, 0, 0.4, 0.4), (0.6, 0.6, 1, 1)) == 0.0
+        assert iou((0, 0, 0.4, 0.4), (0.6, 0.6, 1, 1)) == 0.0
 
     def test_half_overlap(self):
-        assert iou_xyxy((0, 0, 1, 1), (0.5, 0, 1.5, 1)) == pytest.approx(1 / 3)
+        assert iou((0, 0, 1, 1), (0.5, 0, 1.5, 1)) == pytest.approx(1 / 3)
 
     def test_degenerate_box(self):
-        assert iou_xyxy((0, 0, 0, 0), (0, 0, 1, 1)) == 0.0
+        assert iou((0, 0, 0, 0), (0, 0, 1, 1)) == 0.0
 
     def test_iou_matrix_shape(self):
         m = iou_matrix([det(), det(cx=0.2)], [gt(), gt(cx=0.8), gt(cx=0.2)])
@@ -85,8 +90,8 @@ class TestIoU:
     def test_iou_symmetric_and_bounded(self, cx, cy, w, h):
         a = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
         b = (0.3, 0.3, 0.7, 0.7)
-        assert iou_xyxy(a, b) == pytest.approx(iou_xyxy(b, a))
-        assert 0.0 <= iou_xyxy(a, b) <= 1.0
+        assert iou(a, b) == pytest.approx(iou(b, a))
+        assert 0.0 <= iou(a, b) <= 1.0
 
 
 class TestNMS:

@@ -15,10 +15,25 @@ import numpy as np
 import pytest
 
 from repro.detection import Detection, Detections, GridCodec
-from repro.detection.boxes import iou_xyxy, nms
+from repro.detection.boxes import nms
 from repro.detection.grid import CELL_CHANNELS
 from repro.nn.functional import sigmoid
 from repro.video.domains import NUM_CLASSES
+
+
+def iou_xyxy(a, b):
+    """Intersection-over-union of two corner-format boxes, in Python floats."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    inter_w = max(0.0, min(ax2, bx2) - max(ax1, bx1))
+    inter_h = max(0.0, min(ay2, by2) - max(ay1, by1))
+    inter = inter_w * inter_h
+    area_a = max(0.0, ax2 - ax1) * max(0.0, ay2 - ay1)
+    area_b = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
+    union = area_a + area_b - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
 
 
 def reference_nms(detections, iou_threshold=0.45):
