@@ -153,15 +153,13 @@ class Module:
         so nothing is drawn or copied. Like a newly built module, the copy
         is in training mode and holds no backward state, and its
         parameters are new objects: trainable, at learning-rate scale 1.0,
-        with no gradient. Sub-modules held directly as attributes are
-        copied the same way.
+        with no gradient. A container copies its layers
+        (:meth:`Sequential.copy <repro.nn.Sequential.copy>`).
         """
         dup = object.__new__(type(self))
         for attr, value in self.__dict__.items():
             if isinstance(value, Parameter):
                 value = Parameter(value.data, name=value.name)
-            elif isinstance(value, Module):
-                value = value.copy()
             dup.__dict__[attr] = value
         dup.training = True
         for attr in self._training_state:
