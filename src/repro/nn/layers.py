@@ -463,10 +463,10 @@ class MaxPool2d(Module):
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
         index, cols_shape, x_shape = self._cache
+        if cols_shape is None:  # the tournament's window positions
+            return self._tournament_backward(grad, index, x_shape)
         n, c, h, w = x_shape
         k, s = self.kernel_size, self.stride
-        if cols_shape is None:
-            return self._tournament_backward(grad, index, x_shape)
         grad_cols = np.zeros(cols_shape, dtype=np.float64)
         grad_cols[np.arange(grad_cols.shape[0]), index] = grad.reshape(-1)
         dx = F.col2im(grad_cols, (n * c, 1, h, w), k, k, s, 0)
